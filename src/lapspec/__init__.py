@@ -40,7 +40,6 @@ from .realize import (
     Graph6Error,
     GraphTooLargeError,
     IntPolynomial,
-    JacobiConvergenceError,
     certify_integer_spectrum,
     charpoly_exact,
     graph6_decode,

@@ -56,6 +56,14 @@ def default_jobs() -> int:
         return 1
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapspec",
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fam = sub.add_parser("verify-family", help="verify built-in families against closed forms")
     p_fam.add_argument("--id", default="all", choices=FAMILY_IDS + ("all",), help="family id or 'all'")
-    p_fam.add_argument("--r-max", type=int, required=True, help="verify r = 1..R_MAX")
+    p_fam.add_argument("--r-max", type=positive_int, required=True, help="verify r = 1..R_MAX")
     p_fam.add_argument("--json", action="store_true", help="one JSON object per verdict line")
 
     p_cos = sub.add_parser("cospectral", help="compare the spectra of two expressions")

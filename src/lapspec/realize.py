@@ -1,16 +1,15 @@
-"""Concrete adjacency matrices, a deterministic eigensolver, exact
-characteristic polynomials, and the graph6 codec.
+"""Concrete adjacency matrices, numeric eigenvalues, exact characteristic
+polynomials, and the graph6 codec.
 
 These routes are deliberately independent of the spectrum calculus so they
-can cross-check it: the eigensolver runs cyclic Jacobi rotations on the
-realized Laplacian, and an integer eigenvalue multiset can be certified
-exactly against the characteristic polynomial computed in integer
-arithmetic.
+can cross-check it: numeric eigenvalues of the realized Laplacian come from
+LAPACK, and an integer eigenvalue multiset can be certified exactly against
+the characteristic polynomial computed in integer arithmetic.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +21,6 @@ __all__ = [
     "DenseGraph",
     "GraphTooLargeError",
     "Graph6Error",
-    "JacobiConvergenceError",
     "IntPolynomial",
     "DEFAULT_SIZE_CAP",
     "GRAPH6_HEADER",
@@ -49,14 +47,6 @@ class Graph6Error(ValueError):
     """Malformed graph6 record."""
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal norm fell below tol."""
-
-    def __init__(self, residual: float):
-        super().__init__(f"Jacobi iteration did not converge; off-diagonal norm {residual:.3e}")
-        self.residual = residual
-
-
 # --- dense graphs ---------------------------------------------------------
 
 
@@ -78,10 +68,18 @@ class DenseGraph:
         self.n = int(a.shape[0])
 
     @classmethod
+    def _trusted(cls, adj: np.ndarray) -> "DenseGraph":
+        """Wrap a uint8 adjacency matrix that is valid by construction, unchecked."""
+        g = cls.__new__(cls)
+        g.adj = adj
+        g.n = int(adj.shape[0])
+        return g
+
+    @classmethod
     def complete(cls, n: int) -> "DenseGraph":
         a = np.ones((n, n), dtype=np.uint8)
         np.fill_diagonal(a, 0)
-        return cls(a)
+        return cls._trusted(a)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DenseGraph":
@@ -100,24 +98,24 @@ class DenseGraph:
         a = np.zeros((n1 + n2, n1 + n2), dtype=np.uint8)
         a[:n1, :n1] = self.adj
         a[n1:, n1:] = other.adj
-        return DenseGraph(a)
+        return DenseGraph._trusted(a)
 
     def join(self, other: "DenseGraph") -> "DenseGraph":
         n1 = self.n
         combined = self.union(other)
         combined.adj[:n1, n1:] = 1
         combined.adj[n1:, :n1] = 1
-        return DenseGraph(combined.adj)
+        return combined
 
     def complement(self) -> "DenseGraph":
         a = (1 - self.adj).astype(np.uint8)
         np.fill_diagonal(a, 0)
-        return DenseGraph(a)
+        return DenseGraph._trusted(a)
 
     def repeat(self, m: int) -> "DenseGraph":
         if m < 1:
             raise ValueError("repetition count must be at least 1")
-        return DenseGraph(np.kron(np.eye(m, dtype=np.uint8), self.adj))
+        return DenseGraph._trusted(np.kron(np.eye(m, dtype=np.uint8), self.adj))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseGraph):
@@ -160,63 +158,21 @@ def laplacian_matrix(g: DenseGraph) -> np.ndarray:
 # --- numeric eigensolver -----------------------------------------------------
 
 
-def _offdiagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diagonal(a))
-    return float(np.sqrt((off * off).sum()))
+def symmetric_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, by LAPACK (``dsyevd``).
 
-
-def symmetric_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
-
-    Sweeps run over the fixed pivot order (0,1), (0,2), ..., (n-2,n-1) until
-    the off-diagonal Frobenius norm drops below ``tol``; the pivot order makes
-    the output reproducible bit-for-bit on one platform.  Raises
-    ``JacobiConvergenceError`` with the residual after ``max_sweeps`` sweeps.
+    Accepts one ``(n, n)`` matrix, giving an ``(n,)`` result, or a
+    ``(k, n, n)`` stack solved in one call, giving one spectrum per row of a
+    ``(k, n)`` result.  The input must be exactly symmetric, since
+    ``eigvalsh`` would otherwise read one triangle and silently answer for
+    another matrix.
     """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValueError("matrix must be exactly symmetric")
-    n = a.shape[0]
-    if n < 2:
-        return np.diagonal(a).copy()
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiagonal_norm(a) < tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                scale = abs(a[p, p]) + abs(a[q, q])
-                if scale + 100.0 * abs(apq) == scale:
-                    # Negligible against the diagonal; rotating would overflow tau.
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                a[p, q] = a[q, p] = 0.0
-    if not converged:
-        residual = _offdiagonal_norm(a)
-        if residual >= tol:
-            raise JacobiConvergenceError(residual)
-    return np.sort(np.diagonal(a).copy())
+    return np.linalg.eigvalsh(a)
 
 
 # --- exact characteristic polynomial -------------------------------------------
@@ -342,6 +298,19 @@ def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
 # --- graph6 codec -----------------------------------------------------------
 
 
+@functools.cache
+def _graph6_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in an ``n * n`` matrix of each graph6 bit and of its mirror.
+
+    graph6 lists the upper triangle column by column.  Built on first use of
+    each order (at most 63 of them), not at import.
+    """
+    cols, rows = np.tril_indices(n, -1)
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
 def graph6_decode(text: str) -> DenseGraph:
     """Decode one graph6 record (single-byte order form, n <= 62)."""
     s = text.strip()
@@ -364,19 +333,16 @@ def graph6_decode(text: str) -> DenseGraph:
         raise Graph6Error(f"truncated graph6 payload: expected {need} bytes, found {len(payload)}")
     if len(payload) > need:
         raise Graph6Error(f"trailing bytes after graph6 payload of {need} bytes")
-    adj = np.zeros((n, n), dtype=np.uint8)
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    bit = 0
-    for byte in payload:
-        value = byte - 63
-        if not 0 <= value <= 63:
-            raise Graph6Error(f"malformed graph6 byte {byte} (must be 63..126)")
-        for shift in (5, 4, 3, 2, 1, 0):
-            if bit < nbits and (value >> shift) & 1:
-                i, j = pairs[bit]
-                adj[i, j] = adj[j, i] = 1
-            bit += 1
-    return DenseGraph(adj)
+    values = np.frombuffer(payload, dtype=np.uint8) - np.uint8(63)
+    if values.max(initial=0) > 63:  # bytes below 63 wrap around to large values
+        first = int(np.argmax(values > 63))
+        raise Graph6Error(f"malformed graph6 byte {payload[first]} (must be 63..126)")
+    bits = np.unpackbits(values[:, None], axis=1)[:, 2:].ravel()[:nbits]
+    upper, lower = _graph6_positions(n)
+    adj = np.zeros(n * n, dtype=np.uint8)
+    adj[upper] = bits
+    adj[lower] = bits
+    return DenseGraph._trusted(adj.reshape(n, n))
 
 
 def graph6_encode(g: DenseGraph) -> str:

@@ -1,24 +1,30 @@
 """Stream graph6 records and flag graphs whose Laplacian energy meets the
 complete-graph value ``2n - 2``.
 
-Each record gets a numeric verdict first (Jacobi eigenvalues of the
-realized Laplacian).  A numeric hit whose spectrum rounds to integers is
-then certified exactly against the characteristic polynomial; only an
-exact certificate upgrades the verdict, so non-integral near-hits stay
-explicitly labeled ``numeric_hit``.
+Each record gets a numeric verdict first (LAPACK eigenvalues of the
+realized Laplacian, solved in bounded chunks as one stack per order).  A
+numeric hit whose spectrum rounds to integers is then certified exactly
+against the characteristic polynomial; only an exact certificate upgrades
+the verdict, so non-integral near-hits stay explicitly labeled
+``numeric_hit``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .energy import is_l_borderenergetic
 from .realize import (
+    DenseGraph,
     Graph6Error,
     certify_integer_spectrum,
     graph6_decode,
@@ -81,36 +87,11 @@ class ScanRecord:
 
 
 def scan_g6(index: int, record: str, tol: float = DEFAULT_TOL) -> ScanRecord:
-    """Classify a single graph6 record."""
-    g = graph6_decode(record)
-    lap = laplacian_matrix(g)
-    eigs = symmetric_eigenvalues(lap)
-    dbar = 2.0 * g.edge_count() / g.n if g.n else 0.0
-    le = float(sum(abs(x - dbar) for x in eigs))
-    target = 2 * g.n - 2
-    verdict = MISS
-    certificate = None
-    if abs(le - target) < tol:
-        verdict = NUMERIC_HIT
-        rounded = [int(round(x)) for x in eigs]
-        if (
-            g.n > 0
-            and max((abs(x - k) for x, k in zip(eigs, rounded)), default=1.0) < INTEGER_CANDIDATE_TOL
-            and certify_integer_spectrum(lap, rounded)
-        ):
-            exact = Spectrum.from_pairs(g.n, [(k, 1) for k in rounded])
-            if is_l_borderenergetic(exact):
-                verdict = CERTIFIED_HIT
-                certificate = tuple(sorted(rounded))
-    return ScanRecord(
-        index=index,
-        g6=record,
-        n=g.n,
-        numeric_spectrum=tuple(float(x) for x in eigs),
-        numeric_le=le,
-        verdict=verdict,
-        certificate=certificate,
-    )
+    """Classify a single graph6 record; raises ``Graph6Error`` if it is malformed."""
+    (result,) = _scan_chunk([(index, record)], tol)
+    if isinstance(result, str):
+        raise Graph6Error(result)
+    return result
 
 
 def scan_lines(
@@ -119,20 +100,8 @@ def scan_lines(
     on_error: ErrorHandler | None = None,
 ) -> Iterator[ScanRecord]:
     """Scan text lines serially; undecodable lines are reported and skipped."""
-    for lineno, record in iter_graph6(lines):
-        try:
-            yield scan_g6(lineno, record, tol)
-        except Graph6Error as exc:
-            if on_error is not None:
-                on_error(lineno, str(exc))
-
-
-def _scan_task(pair: tuple[int, str], tol: float):
-    lineno, record = pair
-    try:
-        return "ok", scan_g6(lineno, record, tol)
-    except Graph6Error as exc:
-        return "error", lineno, str(exc)
+    for chunk in _chunks(iter_graph6(lines)):
+        yield from _deliver(chunk, _scan_chunk(chunk, tol), on_error)
 
 
 def scan_records(
@@ -143,27 +112,18 @@ def scan_records(
 ) -> list[ScanRecord]:
     """Scan ``(line_number, record)`` pairs, optionally with worker processes.
 
-    Results come back in input order no matter how many workers run, so the
-    output is deterministic for a given input and tolerance.
+    Results come back in input order no matter how many workers run, and
+    each record's numbers do not depend on how the input was split, so the
+    output is the same for a given input and tolerance at any ``jobs``.
     """
-    pairs = list(pairs)
-    out: list[ScanRecord] = []
+    chunks = list(_chunks(pairs))
+    task = partial(_scan_chunk, tol=tol)
     if jobs <= 1:
-        for lineno, record in pairs:
-            try:
-                out.append(scan_g6(lineno, record, tol))
-            except Graph6Error as exc:
-                if on_error is not None:
-                    on_error(lineno, str(exc))
-        return out
-    chunksize = max(1, len(pairs) // (jobs * 8) + 1)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for result in pool.map(partial(_scan_task, tol=tol), pairs, chunksize=chunksize):
-            if result[0] == "ok":
-                out.append(result[1])
-            elif on_error is not None:
-                on_error(result[1], result[2])
-    return out
+        results = list(map(task, chunks))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(task, chunks))
+    return [rec for chunk, res in zip(chunks, results) for rec in _deliver(chunk, res, on_error)]
 
 
 def scan_file(
@@ -176,6 +136,96 @@ def scan_file(
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     return scan_records(iter_graph6(lines), tol=tol, jobs=jobs, on_error=on_error)
+
+
+# --- numeric pass, one bounded chunk at a time -------------------------------
+
+# Records per numeric batch.  It bounds the memory of a batch; the results do
+# not depend on it.
+CHUNK_SIZE = 512
+
+
+def _chunks(pairs: Iterable[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:
+    it = iter(pairs)
+    while chunk := list(islice(it, CHUNK_SIZE)):
+        yield chunk
+
+
+def _deliver(
+    chunk: Sequence[tuple[int, str]],
+    results: Sequence[ScanRecord | str],
+    on_error: ErrorHandler | None,
+) -> Iterator[ScanRecord]:
+    """Yield a chunk's records and report its errors, in input order."""
+    for (lineno, _), result in zip(chunk, results):
+        if isinstance(result, ScanRecord):
+            yield result
+        elif on_error is not None:
+            on_error(lineno, result)
+
+
+def _scan_chunk(chunk: Sequence[tuple[int, str]], tol: float) -> list[ScanRecord | str]:
+    """Classify a chunk of ``(line_number, record)`` pairs.
+
+    Returns, position for position, the record's ``ScanRecord`` or the
+    message of the ``Graph6Error`` that rejected it (the message, not the
+    exception: its traceback would tie this frame and the whole chunk into
+    a reference cycle).  Decoded graphs are grouped by order and each
+    group's Laplacians are solved as one stack.
+    """
+    results: list = [None] * len(chunk)
+    graphs = {}
+    by_order: dict[int, list[int]] = {}
+    for pos, (_, record) in enumerate(chunk):
+        try:
+            g = graph6_decode(record)
+        except Graph6Error as exc:
+            results[pos] = str(exc)
+            continue
+        graphs[pos] = g
+        by_order.setdefault(g.n, []).append(pos)
+    for n, members in by_order.items():
+        adj = np.stack([graphs[pos].adj for pos in members]).astype(np.float64)
+        degrees = adj.sum(axis=2)
+        lap = -adj
+        diag = np.arange(n)
+        lap[:, diag, diag] = degrees
+        eigs = symmetric_eigenvalues(lap)
+        dbar = degrees.sum(axis=1) / max(n, 1)  # the order-0 graph has average degree 0
+        deviations = np.abs(eigs - dbar[:, None])
+        for pos, row, dev in zip(members, eigs.tolist(), deviations.tolist()):
+            lineno, record = chunk[pos]
+            # fsum is correctly rounded, so the LE does not depend on the batch shape.
+            results[pos] = _classify(lineno, record, graphs[pos], row, math.fsum(dev), tol)
+    return results
+
+
+def _classify(index: int, record: str, g: DenseGraph, eigs: list[float], le: float, tol: float) -> ScanRecord:
+    """Verdict for one graph from its ascending numeric spectrum and numeric LE."""
+    target = 2 * g.n - 2
+    verdict = MISS
+    certificate = None
+    if abs(le - target) < tol:
+        verdict = NUMERIC_HIT
+        rounded = [int(round(x)) for x in eigs]
+        if (
+            g.n > 0
+            and max(abs(x - k) for x, k in zip(eigs, rounded)) < INTEGER_CANDIDATE_TOL
+            and certify_integer_spectrum(laplacian_matrix(g), rounded)
+        ):
+            exact = Spectrum.from_pairs(g.n, [(k, 1) for k in rounded])
+            if is_l_borderenergetic(exact):
+                verdict = CERTIFIED_HIT
+                certificate = tuple(sorted(rounded))
+    return ScanRecord(
+        index=index,
+        g6=record,
+        n=g.n,
+        numeric_spectrum=tuple(eigs),
+        numeric_le=le,
+        verdict=verdict,
+        certificate=certificate,
+    )
 
 
 def dedupe_cospectral(records: Iterable[ScanRecord]) -> list[list[ScanRecord]]:

@@ -1,9 +1,11 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import math
 import random
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
+import numpy as np
 
 from lapspec.expr import Complete, Complement, Join, Repeat, Union, order
 from lapspec.realize import DenseGraph
@@ -75,3 +77,72 @@ def _relabeled(mask: int, pairs, index, perm) -> int:
             pu, pv = perm[u], perm[v]
             out |= 1 << index[(pu, pv) if pu < pv else (pv, pu)]
     return out
+
+
+class JacobiConvergenceError(RuntimeError):
+    """Jacobi sweeps exhausted before the off-diagonal norm fell below tol."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"Jacobi iteration did not converge; off-diagonal norm {residual:.3e}")
+        self.residual = residual
+
+
+def _offdiagonal_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diagonal(a))
+    return float(np.sqrt((off * off).sum()))
+
+
+def jacobi_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
+
+    An independent numeric oracle for ``symmetric_eigenvalues`` (LAPACK):
+    plain rotations in Python, sharing no code with it.  Sweeps run over the
+    fixed pivot order (0,1), (0,2), ..., (n-2,n-1) until the off-diagonal
+    Frobenius norm drops below ``tol``; the pivot order makes the output
+    reproducible bit-for-bit on one platform.  Raises
+    ``JacobiConvergenceError`` with the residual after ``max_sweeps`` sweeps.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix must be exactly symmetric")
+    n = a.shape[0]
+    if n < 2:
+        return np.diagonal(a).copy()
+    converged = False
+    for _ in range(max_sweeps):
+        if _offdiagonal_norm(a) < tol:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                scale = abs(a[p, p]) + abs(a[q, q])
+                if scale + 100.0 * abs(apq) == scale:
+                    # Negligible against the diagonal; rotating would overflow tau.
+                    a[p, q] = a[q, p] = 0.0
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                row_p = c * a[p, :] - s * a[q, :]
+                row_q = s * a[p, :] + c * a[q, :]
+                a[p, :] = row_p
+                a[q, :] = row_q
+                col_p = c * a[:, p] - s * a[:, q]
+                col_q = s * a[:, p] + c * a[:, q]
+                a[:, p] = col_p
+                a[:, q] = col_q
+                a[p, q] = a[q, p] = 0.0
+    if not converged:
+        residual = _offdiagonal_norm(a)
+        if residual >= tol:
+            raise JacobiConvergenceError(residual)
+    return np.sort(np.diagonal(a).copy())

@@ -93,8 +93,8 @@ def test_criterion_2_complete_graph_energy():
 
 
 def test_criterion_3_numeric_oracle_agreement():
-    """Jacobi eigenvalues match the exact calculus within 1e-8: every family
-    member for r = 1..4, plus 1000 random expressions of order <= 12."""
+    """Numeric (LAPACK) eigenvalues match the exact calculus within 1e-8: every
+    family member for r = 1..4, plus 1000 random expressions of order <= 12."""
     worst = 0.0
     for r in range(1, 5):
         for member in family_specs(r):

@@ -103,6 +103,15 @@ class TestVerifyFamily:
         monkeypatch.setattr(lapspec.families, "closed_form_spectrum", lambda spec: wrong)
         assert main(["verify-family", "--id", "Omega1", "--r-max", "1"]) == 1
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_r_max_below_one_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify-family", "--id", "all", "--r-max", value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--r-max: must be at least 1" in captured.err
+
     def test_r_max_is_required(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify-family", "--id", "all"])

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from lapspec.expr import Repeat, Complete, edge_count, order, parse
@@ -11,7 +12,6 @@ from lapspec.realize import (
     Graph6Error,
     GraphTooLargeError,
     IntPolynomial,
-    JacobiConvergenceError,
     certify_integer_spectrum,
     charpoly_exact,
     graph6_decode,
@@ -28,7 +28,7 @@ networkx = pytest.importorskip("networkx")
 
 def numeric(expr_text):
     g = realize(parse(expr_text))
-    return symmetric_eigenvalues(laplacian_matrix(g))
+    return helpers.jacobi_eigenvalues(laplacian_matrix(g))
 
 
 class TestDenseGraph:
@@ -83,6 +83,8 @@ class TestRealize:
         g = realize(e)
         assert g.n == order(e)
         assert g.edge_count() == edge_count(e)
+        assert g.adj.dtype == np.uint8
+        assert np.isin(g.adj, (0, 1)).all()
         assert np.array_equal(g.adj, g.adj.T)
         assert not np.diagonal(g.adj).any()
 
@@ -108,6 +110,8 @@ class TestLaplacian:
 
 
 class TestJacobi:
+    """The cyclic Jacobi solver in ``helpers`` is the independent numeric oracle."""
+
     def test_edge(self):
         assert numeric("K2") == pytest.approx([0.0, 2.0], abs=1e-10)
 
@@ -121,27 +125,54 @@ class TestJacobi:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            symmetric_eigenvalues([[0, 1], [2, 0]])
+            helpers.jacobi_eigenvalues([[0, 1], [2, 0]])
 
     def test_nonconvergence_reports_residual(self):
-        with pytest.raises(JacobiConvergenceError) as excinfo:
-            symmetric_eigenvalues([[0, 1], [1, 0]], max_sweeps=0)
+        with pytest.raises(helpers.JacobiConvergenceError) as excinfo:
+            helpers.jacobi_eigenvalues([[0, 1], [1, 0]], max_sweeps=0)
         assert excinfo.value.residual > 0
 
     def test_deterministic(self):
         lap = laplacian_matrix(realize(parse("(2K1 + K2) * (K3 + 2K1)")))
-        first = symmetric_eigenvalues(lap)
-        second = symmetric_eigenvalues(lap)
+        first = helpers.jacobi_eigenvalues(lap)
+        second = helpers.jacobi_eigenvalues(lap)
         assert np.array_equal(first, second)
 
     def test_agrees_with_numpy_on_random_graphs(self):
+        # Jacobi oracle vs symmetric_eigenvalues (LAPACK through numpy).
         rng = random.Random(99)
         for _ in range(50):
             g = helpers.random_graph(rng, rng.randint(1, 9))
             lap = laplacian_matrix(g)
-            ours = symmetric_eigenvalues(lap)
-            reference = np.linalg.eigvalsh(lap)
-            assert ours == pytest.approx(reference, abs=1e-8)
+            oracle = helpers.jacobi_eigenvalues(lap)
+            assert symmetric_eigenvalues(lap) == pytest.approx(oracle, abs=1e-8)
+
+
+class TestSymmetricEigenvalues:
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            symmetric_eigenvalues([[0, 1], [2, 0]])
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            symmetric_eigenvalues([[[0, 1], [1, 0]], [[0, 1], [2, 0]]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 3), (1, 1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            symmetric_eigenvalues(np.zeros(shape))
+
+    def test_trivial_orders(self):
+        assert symmetric_eigenvalues([[3]]).tolist() == [3.0]
+        assert symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
+        assert symmetric_eigenvalues(np.zeros((4, 0, 0))).shape == (4, 0)
+
+    def test_stack_equals_one_at_a_time(self):
+        rng = random.Random(12)
+        for n in (1, 5, 8, 13, 40):
+            laps = np.stack([laplacian_matrix(helpers.random_graph(rng, n)) for _ in range(9)])
+            stacked = symmetric_eigenvalues(laps)
+            assert stacked.shape == (9, n)
+            for lap, row in zip(laps, stacked):
+                assert np.array_equal(symmetric_eigenvalues(lap), row)
 
 
 class TestCharpoly:
@@ -249,6 +280,35 @@ class TestGraph6:
     def test_decode_rejects_malformed(self, record):
         with pytest.raises(Graph6Error):
             graph6_decode(record)
+
+    def test_first_bad_payload_byte_is_named(self):
+        # Order 6 needs three payload bytes; the second and third are bad.
+        with pytest.raises(Graph6Error) as excinfo:
+            graph6_decode("E~!>")
+        assert str(excinfo.value) == "malformed graph6 byte 33 (must be 63..126)"
+        with pytest.raises(Graph6Error) as excinfo:
+            graph6_decode("E?\x7f!")
+        assert str(excinfo.value) == "malformed graph6 byte 127 (must be 63..126)"
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=130), max_size=12),
+        )
+    )
+    @settings(max_examples=500)
+    def test_decode_raises_only_graph6_error(self, text):
+        try:
+            g = graph6_decode(text)
+        except Graph6Error:
+            return
+        assert g.n == ord(text.strip()[0]) - 63
+
+    @given(st.integers(0, 62), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_roundtrip_property(self, n, seed):
+        g = helpers.random_graph(random.Random(seed), n)
+        assert graph6_decode(graph6_encode(g)) == g
 
     def test_iter_graph6_skips_header_and_blanks(self):
         lines = [">>graph6<<", "", "A_", "  ", ">>graph6<<Bw", "C~"]
