@@ -39,9 +39,7 @@ from .realize import (
     DenseGraph,
     Graph6Error,
     GraphTooLargeError,
-    IntPolynomial,
     certify_integer_spectrum,
-    charpoly_exact,
     graph6_decode,
     graph6_encode,
     iter_graph6,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .energy import is_cospectral, laplacian_energy
-from .expr import Complete, GraphExpr, Join, Repeat, Union
+from .expr import GraphExpr, parse
 from .spectrum import Spectrum, spectrum_of, spectrum_of_complete
 
 __all__ = [
@@ -67,10 +67,6 @@ FAMILY_IDS = (
     "Gir",
 )
 
-_K1 = Complete(1)
-_K2 = Complete(2)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """One family member: an id, the size parameter r, and (for Gir) the index i."""
@@ -93,28 +89,12 @@ class FamilySpec:
             raise ValueError(f"family {self.id} takes no index i")
 
 
-def block1(r: int) -> GraphExpr:
-    """r isolated vertices plus a star on r+2 vertices."""
-    return Union(Repeat(r, _K1), Join(_K1, Repeat(r + 1, _K1)))
-
-
-def block2(r: int) -> GraphExpr:
-    """Perfect matching on 2r+2 vertices."""
-    return Repeat(r + 1, _K2)
-
-
-def block3(r: int) -> GraphExpr:
-    """r disjoint edges plus two isolated vertices."""
-    return Union(Repeat(r, _K2), Repeat(2, _K1))
-
-
-def block4(r: int) -> GraphExpr:
-    """Star on 2r+2 vertices."""
-    return Join(Repeat(2 * r + 1, _K1), _K1)
-
-
 def _block1_source(r: int) -> str:
     return f"({r}K1 + (K1 * {r + 1}K1))"
+
+
+def _block2_source(r: int) -> str:
+    return f"{r + 1}K2"
 
 
 def _block3_source(r: int) -> str:
@@ -125,6 +105,26 @@ def _block4_source(r: int) -> str:
     return f"({2 * r + 1}K1 * K1)"
 
 
+def block1(r: int) -> GraphExpr:
+    """r isolated vertices plus a star on r+2 vertices."""
+    return parse(_block1_source(r))
+
+
+def block2(r: int) -> GraphExpr:
+    """Perfect matching on 2r+2 vertices."""
+    return parse(_block2_source(r))
+
+
+def block3(r: int) -> GraphExpr:
+    """r disjoint edges plus two isolated vertices."""
+    return parse(_block3_source(r))
+
+
+def block4(r: int) -> GraphExpr:
+    """Star on 2r+2 vertices."""
+    return parse(_block4_source(r))
+
+
 def source(spec: FamilySpec) -> str:
     """Expression text for the family member, in the surface syntax."""
     r, i = spec.r, spec.i
@@ -133,19 +133,20 @@ def source(spec: FamilySpec) -> str:
             h = _block1_source(r)
             return f"{h} * {h}"
         case "Omega2":
-            return f"{r + 1}K2 * {r + 1}K2"
+            h = _block2_source(r)
+            return f"{h} * {h}"
         case "Omega3":
             return f"(K2 + {2 * r + 1}K1) * {2 * r + 1}K1"
         case "Omega4":
             return f"({2 * r + 1}K1 * {2 * r + 2}K1) * K1"
         case "G12":
-            return f"{_block1_source(r)} * {r + 1}K2"
+            return f"{_block1_source(r)} * {_block2_source(r)}"
         case "G13":
             return f"{_block1_source(r)} * {_block3_source(r)}"
         case "G23":
-            return f"{r + 1}K2 * {_block3_source(r)}"
+            return f"{_block2_source(r)} * {_block3_source(r)}"
         case "G24":
-            return f"{r + 1}K2 * {_block4_source(r)}"
+            return f"{_block2_source(r)} * {_block4_source(r)}"
         case "G34":
             return f"{_block3_source(r)} * {_block4_source(r)}"
         case "Gir":
@@ -154,33 +155,8 @@ def source(spec: FamilySpec) -> str:
 
 
 def build(spec: FamilySpec) -> GraphExpr:
-    """AST of the family member; structurally identical to ``parse(source(spec))``."""
-    r, i = spec.r, spec.i
-    match spec.id:
-        case "Omega1":
-            h = block1(r)
-            return Join(h, h)
-        case "Omega2":
-            h = block2(r)
-            return Join(h, h)
-        case "Omega3":
-            return Join(Union(_K2, Repeat(2 * r + 1, _K1)), Repeat(2 * r + 1, _K1))
-        case "Omega4":
-            return Join(Join(Repeat(2 * r + 1, _K1), Repeat(2 * r + 2, _K1)), _K1)
-        case "G12":
-            return Join(block1(r), block2(r))
-        case "G13":
-            return Join(block1(r), block3(r))
-        case "G23":
-            return Join(block2(r), block3(r))
-        case "G24":
-            return Join(block2(r), block4(r))
-        case "G34":
-            return Join(block3(r), block4(r))
-        case "Gir":
-            right = Union(Repeat(2 * r + 1 - i, _K1), Join(_K1, Repeat(i + 1, _K1)))
-            return Join(Repeat(2 * r + 1, _K1), right)
-    raise AssertionError
+    """AST of the family member: ``parse(source(spec))``."""
+    return parse(source(spec))
 
 
 def closed_form_spectrum(spec: FamilySpec) -> Spectrum:

@@ -1,16 +1,16 @@
-"""Concrete adjacency matrices, numeric eigenvalues, exact characteristic
-polynomials, and the graph6 codec.
+"""Concrete adjacency matrices, numeric eigenvalues, an exact integer
+spectrum certificate, and the graph6 codec.
 
 These routes are deliberately independent of the spectrum calculus so they
 can cross-check it: numeric eigenvalues of the realized Laplacian come from
-LAPACK, and an integer eigenvalue multiset can be certified exactly against
-the characteristic polynomial computed in integer arithmetic.
+LAPACK, and an integer eigenvalue multiset can be certified exactly from
+the minimal polynomial and power traces of the matrix in integer arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,13 +21,11 @@ __all__ = [
     "DenseGraph",
     "GraphTooLargeError",
     "Graph6Error",
-    "IntPolynomial",
     "DEFAULT_SIZE_CAP",
     "GRAPH6_HEADER",
     "realize",
     "laplacian_matrix",
     "symmetric_eigenvalues",
-    "charpoly_exact",
     "certify_integer_spectrum",
     "graph6_decode",
     "graph6_encode",
@@ -175,111 +173,20 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-# --- exact characteristic polynomial -------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial; ``coeffs[k]`` is the coefficient of ``x**k``."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a polynomial needs at least one coefficient")
-        trimmed = self.coeffs
-        while len(trimmed) > 1 and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in trimmed))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[int]) -> "IntPolynomial":
-        """Monic product of ``x - r`` over the given integer roots."""
-        coeffs = [1]
-        for root in roots:
-            r = int(root)
-            nxt = [0] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k + 1] += c
-                nxt[k] -= r * c
-            coeffs = nxt
-        return cls(tuple(coeffs))
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0 and self.degree > 0:
-                continue
-            var = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            terms.append(f"{c:+d}{var}" if var else f"{c:+d}")
-        return " ".join(terms) if terms else "0"
-
-
-def _as_int_rows(matrix) -> list[list[int]]:
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    rows = []
-    for row in a.tolist():
-        out = []
-        for x in row:
-            xi = int(x)
-            if xi != x:
-                raise ValueError("matrix entries must be integers")
-            out.append(xi)
-        rows.append(out)
-    return rows
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def charpoly_exact(matrix) -> IntPolynomial:
-    """``det(xI - M)`` with exact integer coefficients.
-
-    Faddeev-LeVerrier recurrence over Python integers; the per-step division
-    by k is exact for integer input, and that is asserted.
-    """
-    rows = _as_int_rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return IntPolynomial((1,))
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = _int_matmul(rows, aux)
-        t = sum(am[i][i] for i in range(n))
-        if t % k:
-            raise ArithmeticError("non-integer coefficient; input was not an integer matrix")
-        ck = -(t // k)
-        coeffs[n - k] = ck
-        if k < n:
-            for i in range(n):
-                am[i][i] += ck
-            aux = am
-    return IntPolynomial(tuple(coeffs))
+# --- exact spectrum certificate ---------------------------------------------
 
 
 def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
     """Whether the candidate integer multiset is exactly the spectrum of ``matrix``.
 
-    Compares ``charpoly_exact(matrix)`` with the monic product of ``x - k``
-    coefficientwise; a wrong candidate is rejected, never silently accepted.
+    The matrix must be exactly symmetric with integer entries, so it is
+    diagonalisable.  With S the distinct candidate values and m_k their
+    multiplicities, the candidate is the spectrum iff the product of
+    ``M - kI`` over S vanishes (every eigenvalue lies in S) and
+    ``tr(M^j) = sum(m_k * k^j)`` for ``j = 1 .. |S| - 1`` (a Vandermonde
+    system on distinct nodes then fixes the multiplicities).  Both checks
+    run on a Python-int copy of the matrix, so a wrong candidate is rejected,
+    never silently accepted.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -290,9 +197,29 @@ def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
         if ki != k:
             raise ValueError("candidate eigenvalues must be integers")
         cand.append(ki)
-    if len(cand) != a.shape[0]:
-        raise ValueError(f"candidate multiset has {len(cand)} values for order {a.shape[0]}")
-    return charpoly_exact(matrix) == IntPolynomial.from_roots(cand)
+    n = a.shape[0]
+    if len(cand) != n:
+        raise ValueError(f"candidate multiset has {len(cand)} values for order {n}")
+    entries = a.ravel().tolist()
+    ints = [int(x) for x in entries]
+    if ints != entries:
+        raise ValueError("matrix entries must be integers")
+    m = np.array(ints, dtype=object).reshape(n, n)
+    if not (m == m.T).all():
+        raise ValueError("matrix must be exactly symmetric")
+    multiplicity = Counter(cand)
+    eye = np.identity(n, dtype=object)
+    product = eye
+    for k in multiplicity:
+        product = product @ (m - k * eye)
+    if (product != 0).any():
+        return False
+    power = eye
+    for j in range(1, len(multiplicity)):
+        power = power @ m
+        if power.trace() != sum(mult * k**j for k, mult in multiplicity.items()):
+            return False
+    return True
 
 
 # --- graph6 codec -----------------------------------------------------------

@@ -4,9 +4,9 @@ complete-graph value ``2n - 2``.
 Each record gets a numeric verdict first (LAPACK eigenvalues of the
 realized Laplacian, solved in bounded chunks as one stack per order).  A
 numeric hit whose spectrum rounds to integers is then certified exactly
-against the characteristic polynomial; only an exact certificate upgrades
-the verdict, so non-integral near-hits stay explicitly labeled
-``numeric_hit``.
+from the minimal polynomial and power traces of its Laplacian; only an
+exact certificate upgrades the verdict, so non-integral near-hits stay
+explicitly labeled ``numeric_hit``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -118,10 +119,12 @@ def scan_records(
     """
     chunks = list(_chunks(pairs))
     task = partial(_scan_chunk, tol=tol)
-    if jobs <= 1:
+    # More workers than chunks or cores cannot help, and each is a process.
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         results = list(map(task, chunks))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, chunks))
     return [rec for chunk, res in zip(chunks, results) for rec in _deliver(chunk, res, on_error)]
 
@@ -132,8 +135,12 @@ def scan_file(
     jobs: int = 1,
     on_error: ErrorHandler | None = None,
 ) -> list[ScanRecord]:
-    """Scan a graph6 file (one record per line, optional header tolerated)."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Scan a graph6 file (one record per line, optional header tolerated).
+
+    A non-ASCII byte is kept as a lone surrogate, so the decoder rejects only
+    the line that holds it.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         lines = fh.read().splitlines()
     return scan_records(iter_graph6(lines), tol=tol, jobs=jobs, on_error=on_error)
 

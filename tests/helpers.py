@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import hypothesis.strategies as st
 import numpy as np
@@ -51,32 +51,58 @@ def expr_strategy(max_leaves: int = 8):
 
 
 def graph_classes(n: int) -> list[DenseGraph]:
-    """All isomorphism classes of simple graphs on n vertices, by brute force.
+    """One graph per isomorphism class on n <= 7 vertices, from the networkx atlas."""
+    import networkx
 
-    Canonical form is the minimum edge bitmask over all vertex relabelings;
-    fine for the desk-scale n used in tests.
+    if not 0 <= n <= 7:
+        raise ValueError("the graph atlas covers orders 0..7 only")
+    return [
+        DenseGraph(networkx.to_numpy_array(g, nodelist=range(n), dtype=np.uint8))
+        for g in networkx.graph_atlas_g()
+        if g.number_of_nodes() == n
+    ]
+
+
+def charpoly_coeffs(matrix) -> tuple[int, ...]:
+    """``det(xI - M)`` of an integer matrix; entry k is the coefficient of ``x**k``.
+
+    An independent exact oracle for ``certify_integer_spectrum``: the
+    Faddeev-LeVerrier recurrence over Python integers, O(n^4).  The
+    per-step division by k is exact for integer input, and that is asserted.
     """
-    pairs = list(combinations(range(n), 2))
-    index = {p: k for k, p in enumerate(pairs)}
-    seen = set()
-    reps = []
-    for mask in range(1 << len(pairs)):
-        canon = min(_relabeled(mask, pairs, index, perm) for perm in permutations(range(n)))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        edges = [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1]
-        reps.append(DenseGraph.from_edges(n, edges))
-    return reps
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    rows = [[int(x) for x in row] for row in a.tolist()]
+    if rows != a.tolist():
+        raise ValueError("matrix entries must be integers")
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    aux = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*aux))
+        am = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+        t = sum(am[i][i] for i in range(n))
+        if t % k:
+            raise ArithmeticError("non-integer coefficient; input was not an integer matrix")
+        coeffs[n - k] = -(t // k)
+        for i in range(n):
+            am[i][i] += coeffs[n - k]
+        aux = am
+    return tuple(coeffs)
 
 
-def _relabeled(mask: int, pairs, index, perm) -> int:
-    out = 0
-    for k, (u, v) in enumerate(pairs):
-        if (mask >> k) & 1:
-            pu, pv = perm[u], perm[v]
-            out |= 1 << index[(pu, pv) if pu < pv else (pv, pu)]
-    return out
+def from_roots(roots) -> tuple[int, ...]:
+    """Coefficients, lowest degree first, of the monic product of ``x - r``."""
+    coeffs = [1]
+    for root in roots:
+        r = int(root)
+        nxt = [0] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k + 1] += c
+            nxt[k] -= r * c
+        coeffs = nxt
+    return tuple(coeffs)
 
 
 class JacobiConvergenceError(RuntimeError):

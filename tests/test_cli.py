@@ -135,6 +135,14 @@ class TestScanCommand:
         assert len(jsonl.read_text().splitlines()) == 2
         assert csv_out.read_text().splitlines()[0] == "index,g6,n,le,verdict"
 
+    def test_non_ascii_byte_rejects_only_its_line(self, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        path.write_bytes(b"C~\nA\xc3\xa9\nBw\n")
+        assert main(["scan", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0] == "line 2: non-ASCII character in graph6 record"
+        assert [row.split()[:2] for row in captured.out.splitlines()] == [["1", "C~"], ["3", "Bw"]]
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["scan", "/no/such/file.g6"]) == 2
         assert "error:" in capsys.readouterr().err

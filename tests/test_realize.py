@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 import helpers
 from lapspec.expr import Repeat, Complete, edge_count, order, parse
+from lapspec.families import FamilySpec, build, closed_form_spectrum
 from lapspec.realize import (
     DenseGraph,
     Graph6Error,
     GraphTooLargeError,
-    IntPolynomial,
     certify_integer_spectrum,
-    charpoly_exact,
     graph6_decode,
     graph6_encode,
     iter_graph6,
@@ -176,34 +175,42 @@ class TestSymmetricEigenvalues:
 
 
 class TestCharpoly:
+    """The Faddeev-LeVerrier recurrence in ``helpers`` is the exact oracle."""
+
     def test_zero_matrix(self):
-        assert charpoly_exact([[0, 0], [0, 0]]) == IntPolynomial((0, 0, 1))
+        assert helpers.charpoly_coeffs([[0, 0], [0, 0]]) == (0, 0, 1)
 
     def test_edge_laplacian(self):
-        assert charpoly_exact([[1, -1], [-1, 1]]) == IntPolynomial((0, -2, 1))
+        assert helpers.charpoly_coeffs([[1, -1], [-1, 1]]) == (0, -2, 1)
 
     def test_diamond(self):
         lap = laplacian_matrix(realize(parse("K2 * 2K1")))
-        poly = charpoly_exact(lap)
-        assert poly == IntPolynomial((0, -32, 32, -10, 1))
-        assert poly == IntPolynomial.from_roots([0, 2, 4, 4])
+        coeffs = helpers.charpoly_coeffs(lap)
+        assert coeffs == (0, -32, 32, -10, 1)
+        assert coeffs == helpers.from_roots([0, 2, 4, 4])
 
     def test_from_roots_expansion(self):
-        assert IntPolynomial.from_roots([1, -1]) == IntPolynomial((-1, 0, 1))
-
-    def test_evaluation(self):
-        poly = IntPolynomial((0, -2, 1))
-        assert poly(0) == 0 and poly(2) == 0 and poly(1) == -1
+        assert helpers.from_roots([1, -1]) == (-1, 0, 1)
 
     def test_rejects_non_integer_entries(self):
         with pytest.raises(ValueError):
-            charpoly_exact([[0.5, 0], [0, 0.5]])
+            helpers.charpoly_coeffs([[0.5, 0], [0, 0.5]])
 
     def test_vanishes_on_certified_spectrum(self):
         lap = laplacian_matrix(realize(parse("2K2 * 2K2")))
-        poly = charpoly_exact(lap)
+        coeffs = helpers.charpoly_coeffs(lap)
         for value in spectrum_of(parse("2K2 * 2K2")).expanded():
-            assert poly(value) == 0
+            assert sum(c * value**k for k, c in enumerate(coeffs)) == 0
+
+
+def _graphs_up_to_12():
+    random_graphs = st.builds(
+        lambda n, seed: helpers.random_graph(random.Random(seed), n),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    cographs = helpers.expr_strategy().filter(lambda e: order(e) <= 12).map(realize)
+    return st.one_of(random_graphs, cographs)
 
 
 class TestCertify:
@@ -228,6 +235,43 @@ class TestCertify:
     def test_candidate_size_must_match(self):
         with pytest.raises(ValueError):
             certify_integer_spectrum([[0]], [0, 0])
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            certify_integer_spectrum([[0, 1], [0, 0]], [0, 0])
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(ValueError, match="integers"):
+            certify_integer_spectrum([[0.5, 0], [0, 0.5]], [0, 1])
+
+    @pytest.mark.parametrize("family_id", ["Omega1", "G13", "G34"])
+    def test_family_member_at_r13(self, family_id):
+        member = FamilySpec(family_id, 13)
+        lap = laplacian_matrix(realize(build(member)))
+        closed = [int(v) for v in closed_form_spectrum(member).expanded()]
+        assert lap.shape == (56, 56)
+        assert certify_integer_spectrum(lap, closed)
+        wrong = list(closed)
+        wrong[1] += 1
+        wrong[-2] -= 1
+        assert not certify_integer_spectrum(lap, wrong)
+
+    @given(_graphs_up_to_12(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_charpoly_oracle(self, g, data):
+        lap = laplacian_matrix(g)
+        rounded = [int(round(x)) for x in symmetric_eigenvalues(lap)]
+        candidates = [rounded]
+        if g.n > 1:
+            # Move one unit between two entries: the trace stays the same.
+            i, j = data.draw(st.permutations(range(g.n)))[:2]
+            shifted = list(rounded)
+            shifted[i] += 1
+            shifted[j] -= 1
+            candidates.append(shifted)
+        oracle = helpers.charpoly_coeffs(lap)
+        for cand in candidates:
+            assert certify_integer_spectrum(lap, cand) == (oracle == helpers.from_roots(cand))
 
 
 class TestGraph6:

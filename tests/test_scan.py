@@ -113,6 +113,39 @@ class TestScanFile:
         assert len(serial) == 120
 
 
+class _RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers``, maps serially."""
+
+    def __init__(self, created, max_workers):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "n_chunks, cpus, expected",
+        [(3, 4, [3]), (3, 2, [2]), (1, 4, []), (3, None, [])],
+    )
+    def test_workers_capped_by_chunks_and_cores(self, monkeypatch, n_chunks, cpus, expected):
+        created = []
+        monkeypatch.setattr(
+            lapspec.scan, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(created, max_workers)
+        )
+        monkeypatch.setattr(lapspec.scan.os, "cpu_count", lambda: cpus)
+        pairs = [(k + 1, [K4, DIAMOND, FOUR_CYCLE][k % 3]) for k in range((n_chunks - 1) * CHUNK_SIZE + 1)]
+        records = lapspec.scan.scan_records(pairs, jobs=100_000)
+        assert created == expected
+        assert records == lapspec.scan.scan_records(pairs)
+
+
 class TestDedupe:
     def test_distinct_spectra_make_distinct_classes(self):
         records = list(scan_lines([K4, DIAMOND]))
