@@ -16,7 +16,7 @@ import argparse
 from itertools import combinations, permutations
 
 from lapspec.realize import DenseGraph, graph6_encode
-from lapspec.scan import CERTIFIED_HIT, dedupe_cospectral, scan_lines
+from lapspec.scan import CERTIFIED_HIT, dedupe_cospectral, scan
 
 
 def graph_classes(n: int):
@@ -49,7 +49,7 @@ def main() -> int:
 
     for n in range(1, args.max_n + 1):
         lines = [graph6_encode(g) for g in graph_classes(n)]
-        records = list(scan_lines(lines, tol=args.tol))
+        records = list(scan(lines, tol=args.tol))
         hits = [r for r in records if r.verdict != "miss"]
         print(f"n={n}: {len(records)} isomorphism classes, {len(hits)} hits")
         for group in dedupe_cospectral(hits):

@@ -53,9 +53,8 @@ from .scan import (
     NUMERIC_HIT,
     ScanRecord,
     dedupe_cospectral,
-    scan_file,
+    scan,
     scan_g6,
-    scan_lines,
 )
 from .spectrum import (
     Spectrum,

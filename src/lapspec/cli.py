@@ -16,9 +16,12 @@ Exit status: 0 all checks passed / no error, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from .energy import energy_report, is_cospectral
 from .expr import ParseError, parse, render
 from .families import FAMILY_IDS, family_specs, verify
 from .realize import Graph6Error
-from .scan import DEFAULT_TOL, scan_file, write_csv, write_jsonl
+from .scan import CERTIFIED_HIT, CSV_HEADER, DEFAULT_TOL, MISS, scan
 from .spectrum import spectrum_of
 
 __all__ = ["CommandConfig", "build_parser", "run", "main"]
@@ -48,19 +51,19 @@ class CommandConfig:
     jobs: int = 1
 
 
-def default_jobs() -> int:
-    env = os.environ.get("LAPSPEC_JOBS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def positive_int(text: str) -> int:
     """argparse type for a count that must be at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_tolerance(text: str) -> float:
+    """argparse type for a finite tolerance above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 
@@ -91,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="scan a graph6 file for L-borderenergetic graphs")
     p_scan.add_argument("file", help="graph6 input, one record per line")
-    p_scan.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric hit tolerance")
-    p_scan.add_argument("--jobs", type=int, default=None, help="worker processes (default $LAPSPEC_JOBS or 1)")
+    p_scan.add_argument("--tol", type=positive_tolerance, default=DEFAULT_TOL, help="numeric hit tolerance")
+    jobs = os.environ.get("LAPSPEC_JOBS") or "1"  # argparse applies ``type`` to a string default
+    p_scan.add_argument("--jobs", type=positive_int, default=jobs, help="worker processes (default $LAPSPEC_JOBS or 1)")
     p_scan.add_argument("--json", metavar="OUT.JSONL", default=None, help="also write records as JSON lines")
     p_scan.add_argument("--csv", metavar="OUT.CSV", default=None, help="also write records as CSV")
 
@@ -113,7 +117,7 @@ def config_from_argv(argv: list[str] | None) -> CommandConfig:
         "scan",
         input_path=args.file,
         tol=args.tol,
-        jobs=args.jobs if args.jobs is not None else default_jobs(),
+        jobs=args.jobs,
         jsonl_path=args.json,
         csv_path=args.csv,
     )
@@ -197,18 +201,36 @@ def _cmd_scan(config: CommandConfig) -> int:
     def report_error(lineno: int, message: str) -> None:
         print(f"line {lineno}: {message}", file=sys.stderr)
 
-    records = scan_file(config.input_path, tol=config.tol, jobs=config.jobs, on_error=report_error)
-    for rec in records:
-        print(f"{rec.index:>8} {rec.g6:<24} {rec.n:>4} {rec.numeric_le:>16.9f} {rec.verdict}")
-    if config.jsonl_path:
-        with open(config.jsonl_path, "w", encoding="ascii") as fh:
-            write_jsonl(records, fh)
-    if config.csv_path:
-        with open(config.csv_path, "w", encoding="ascii", newline="") as fh:
-            write_csv(records, fh)
-    hits = sum(rec.verdict != "miss" for rec in records)
-    certified = sum(rec.verdict == "certified_hit" for rec in records)
-    print(f"{len(records)} records scanned: {hits} hits, {certified} certified", file=sys.stderr)
+    with ExitStack() as stack:
+        # A non-ASCII byte is kept as a lone surrogate, so the decoder rejects
+        # only the line that holds it.
+        fh = stack.enter_context(open(config.input_path, "r", encoding="ascii", errors="surrogateescape"))
+        in_use = [config.input_path]
+
+        def open_output(path: str, **kwargs):
+            # Records are written while the input is read, so no file may be opened twice.
+            if any(os.path.exists(path) and os.path.samefile(path, other) for other in in_use):
+                raise ValueError(f"output file {path} is the input file or the other output")
+            in_use.append(path)
+            return stack.enter_context(open(path, "w", encoding="ascii", **kwargs))
+
+        jsonl = open_output(config.jsonl_path) if config.jsonl_path else None
+        rows = csv.writer(open_output(config.csv_path, newline="")) if config.csv_path else None
+        if rows:
+            rows.writerow(CSV_HEADER)
+        # Number lines as read().splitlines() would: it also breaks at \v, \f and \x1c-\x1e.
+        lines = (line for physical in fh for line in physical.splitlines())
+        count = hits = certified = 0
+        for rec in scan(lines, tol=config.tol, jobs=config.jobs, on_error=report_error):
+            print(f"{rec.index:>8} {rec.g6:<24} {rec.n:>4} {rec.numeric_le:>16.9f} {rec.verdict}")
+            if jsonl:
+                jsonl.write(json.dumps(rec.to_json_obj()) + "\n")
+            if rows:
+                rows.writerow(rec.csv_row())
+            count += 1
+            hits += rec.verdict != MISS
+            certified += rec.verdict == CERTIFIED_HIT
+    print(f"{count} records scanned: {hits} hits, {certified} certified", file=sys.stderr)
     return 0
 
 

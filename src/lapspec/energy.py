@@ -36,12 +36,12 @@ def m_energy(entries: Iterable[tuple[Rational, int]], trace: Rational, n: int) -
     """
     if n == 0:
         raise ValueError("the eigenvalue multiset must not be empty")
-    pairs = [(Fraction(value), int(mult)) for value, mult in entries]
+    pairs = [(value, int(mult)) for value, mult in entries]
     total = sum(mult for _, mult in pairs)
     if total != n:
         raise ValueError(f"multiset carries {total} eigenvalues, expected {n}")
-    center = Fraction(trace) / n
-    return sum((abs(value - center) * mult for value, mult in pairs), Fraction(0))
+    # n times the sum, so integer eigenvalues and trace stay in integers.
+    return Fraction(sum(mult * abs(n * value - trace) for value, mult in pairs), n)
 
 
 def laplacian_energy(s: Spectrum) -> Fraction:

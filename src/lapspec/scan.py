@@ -11,19 +11,18 @@ explicitly labeled ``numeric_hit``.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .energy import is_l_borderenergetic
+from .energy import m_energy
 from .realize import (
     DenseGraph,
     Graph6Error,
@@ -33,21 +32,17 @@ from .realize import (
     laplacian_matrix,
     symmetric_eigenvalues,
 )
-from .spectrum import Spectrum
 
 __all__ = [
     "MISS",
     "NUMERIC_HIT",
     "CERTIFIED_HIT",
     "DEFAULT_TOL",
+    "CSV_HEADER",
     "ScanRecord",
     "scan_g6",
-    "scan_lines",
-    "scan_records",
-    "scan_file",
+    "scan",
     "dedupe_cospectral",
-    "write_jsonl",
-    "write_csv",
 ]
 
 MISS = "miss"
@@ -59,6 +54,8 @@ DEFAULT_TOL = 1e-6
 # A numeric eigenvalue this close to an integer is proposed for exact
 # certification; a wrong proposal is caught there, never accepted.
 INTEGER_CANDIDATE_TOL = 1e-6
+
+CSV_HEADER = ("index", "g6", "n", "le", "verdict")
 
 ErrorHandler = Callable[[int, str], None]
 
@@ -86,6 +83,10 @@ class ScanRecord:
             "certificate": None if self.certificate is None else list(self.certificate),
         }
 
+    def csv_row(self) -> list:
+        """The record's row under ``CSV_HEADER``."""
+        return [self.index, self.g6, self.n, repr(self.numeric_le), self.verdict]
+
 
 def scan_g6(index: int, record: str, tol: float = DEFAULT_TOL) -> ScanRecord:
     """Classify a single graph6 record; raises ``Graph6Error`` if it is malformed."""
@@ -95,54 +96,37 @@ def scan_g6(index: int, record: str, tol: float = DEFAULT_TOL) -> ScanRecord:
     return result
 
 
-def scan_lines(
+def scan(
     lines: Iterable[str],
     tol: float = DEFAULT_TOL,
+    jobs: int = 1,
     on_error: ErrorHandler | None = None,
 ) -> Iterator[ScanRecord]:
-    """Scan text lines serially; undecodable lines are reported and skipped."""
-    for chunk in _chunks(iter_graph6(lines)):
-        yield from _deliver(chunk, _scan_chunk(chunk, tol), on_error)
+    """Scan graph6 text lines (header tolerated); bad lines go to ``on_error``.
 
-
-def scan_records(
-    pairs: Iterable[tuple[int, str]],
-    tol: float = DEFAULT_TOL,
-    jobs: int = 1,
-    on_error: ErrorHandler | None = None,
-) -> list[ScanRecord]:
-    """Scan ``(line_number, record)`` pairs, optionally with worker processes.
-
-    Results come back in input order no matter how many workers run, and
-    each record's numbers do not depend on how the input was split, so the
-    output is the same for a given input and tolerance at any ``jobs``.
+    Records and errors come in input order, and a record's numbers do not
+    depend on how the input was split, so the output is the same at any
+    ``jobs``.  Lines are pulled lazily, with at most two chunks per worker
+    in flight, so memory does not grow with the input.
     """
-    chunks = list(_chunks(pairs))
+    chunks = _chunks(iter_graph6(lines))
     task = partial(_scan_chunk, tol=tol)
     # More workers than chunks or cores cannot help, and each is a process.
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    cap = min(jobs, os.cpu_count() or 1)
+    head = list(islice(chunks, 2 * cap))
+    workers = min(cap, len(head))
     if workers <= 1:
-        results = list(map(task, chunks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, chunks))
-    return [rec for chunk, res in zip(chunks, results) for rec in _deliver(chunk, res, on_error)]
-
-
-def scan_file(
-    path: str,
-    tol: float = DEFAULT_TOL,
-    jobs: int = 1,
-    on_error: ErrorHandler | None = None,
-) -> list[ScanRecord]:
-    """Scan a graph6 file (one record per line, optional header tolerated).
-
-    A non-ASCII byte is kept as a lone surrogate, so the decoder rejects only
-    the line that holds it.
-    """
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().splitlines()
-    return scan_records(iter_graph6(lines), tol=tol, jobs=jobs, on_error=on_error)
+        for chunk in chain(head, chunks):
+            yield from _deliver(chunk, task(chunk), on_error)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque((chunk, pool.submit(task, chunk)) for chunk in head)
+        while pending:
+            chunk, future = pending.popleft()
+            nxt = next(chunks, None)
+            if nxt is not None:
+                pending.append((nxt, pool.submit(task, nxt)))
+            yield from _deliver(chunk, future.result(), on_error)
 
 
 # --- numeric pass, one bounded chunk at a time -------------------------------
@@ -219,11 +203,11 @@ def _classify(index: int, record: str, g: DenseGraph, eigs: list[float], le: flo
             g.n > 0
             and max(abs(x - k) for x, k in zip(eigs, rounded)) < INTEGER_CANDIDATE_TOL
             and certify_integer_spectrum(laplacian_matrix(g), rounded)
+            # The certified candidate is the spectrum, so its sum is the trace.
+            and m_energy(Counter(rounded).items(), sum(rounded), g.n) == target
         ):
-            exact = Spectrum.from_pairs(g.n, [(k, 1) for k in rounded])
-            if is_l_borderenergetic(exact):
-                verdict = CERTIFIED_HIT
-                certificate = tuple(sorted(rounded))
+            verdict = CERTIFIED_HIT
+            certificate = tuple(sorted(rounded))
     return ScanRecord(
         index=index,
         g6=record,
@@ -252,15 +236,3 @@ def dedupe_cospectral(records: Iterable[ScanRecord]) -> list[list[ScanRecord]]:
             key = ("numeric", rec.n, tuple(round(x, 9) for x in rec.numeric_spectrum))
         classes.setdefault(key, []).append(rec)
     return sorted(classes.values(), key=lambda group: (group[0].n, group[0].index))
-
-
-def write_jsonl(records: Sequence[ScanRecord], fh) -> None:
-    for rec in records:
-        fh.write(json.dumps(rec.to_json_obj()) + "\n")
-
-
-def write_csv(records: Sequence[ScanRecord], fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["index", "g6", "n", "le", "verdict"])
-    for rec in records:
-        writer.writerow([rec.index, rec.g6, rec.n, repr(rec.numeric_le), rec.verdict])

@@ -27,7 +27,7 @@ from lapspec.realize import (
     realize,
     symmetric_eigenvalues,
 )
-from lapspec.scan import CERTIFIED_HIT, MISS, NUMERIC_HIT, scan_lines
+from lapspec.scan import CERTIFIED_HIT, MISS, NUMERIC_HIT, scan
 from lapspec.spectrum import spectrum_of, spectrum_of_complete
 
 SOUND_ENERGY_IDS = tuple(fid for fid in FAMILY_IDS if fid not in ("G24", "G34"))
@@ -168,7 +168,7 @@ def test_criterion_6_exhaustive_desk_scan():
     """
     for n in (1, 2, 3):
         graphs = helpers.graph_classes(n)
-        records = list(scan_lines(graph6_encode(g) for g in graphs))
+        records = list(scan(graph6_encode(g) for g in graphs))
         hits = [r for r in records if r.verdict != MISS]
         assert len(hits) == 1
         assert hits[0].certificate == tuple([0] + [n] * (n - 1))
@@ -182,7 +182,7 @@ def test_criterion_6_exhaustive_desk_scan():
         le = float(np.abs(mu - 2 * g.edge_count() / g.n).sum())
         if abs(le - 6.0) < 1e-9:
             oracle_hits.add(tuple(int(round(x)) for x in mu))
-    records = list(scan_lines(graph6_encode(g) for g in graphs))
+    records = list(scan(graph6_encode(g) for g in graphs))
     certified = {r.certificate for r in records if r.verdict == CERTIFIED_HIT}
     ok = (
         certified == oracle_hits

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import lapspec.families
-from lapspec.cli import CommandConfig, default_jobs, main, run
+from lapspec.cli import CommandConfig, config_from_argv, main, run
 from lapspec.expr import parse
 from lapspec.realize import graph6_encode, realize
 from lapspec.spectrum import Spectrum
@@ -143,9 +143,61 @@ class TestScanCommand:
         assert captured.err.splitlines()[0] == "line 2: non-ASCII character in graph6 record"
         assert [row.split()[:2] for row in captured.out.splitlines()] == [["1", "C~"], ["3", "Bw"]]
 
+    def test_form_feed_and_separators_split_lines_like_splitlines(self, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        path.write_bytes(b"C~\x0cBw\x1c\n!!\nBw\n")
+        assert main(["scan", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0].startswith("line 4: ")
+        assert [row.split()[:2] for row in captured.out.splitlines()] == [["1", "C~"], ["2", "Bw"], ["5", "Bw"]]
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["scan", "/no/such/file.g6"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2_before_scanning(self, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        path.write_text(g6("K4") + "\n")
+        assert main(["scan", str(path), "--json", "/nonexistent/x.jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_output_that_is_the_input_exits_2(self, flag, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        text = g6("K4") + "\n"
+        path.write_text(text)
+        assert main(["scan", str(path), flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is the input file" in captured.err
+        assert path.read_text() == text
+
+    def test_json_and_csv_on_one_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        path.write_text(g6("K4") + "\n")
+        out = str(tmp_path / "out.txt")
+        assert main(["scan", str(path), "--json", out, "--csv", out]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_tol_must_be_finite_and_positive(self, value, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        path.write_text(g6("K4") + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", str(path), "--tol", value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol: must be a finite number above 0" in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", "in.g6", "--jobs", value])
+        assert excinfo.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
 
     def test_jobs_flag(self, tmp_path, capsys):
         path = tmp_path / "in.g6"
@@ -157,11 +209,16 @@ class TestScanCommand:
 class TestConfig:
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("LAPSPEC_JOBS", "4")
-        assert default_jobs() == 4
-        monkeypatch.setenv("LAPSPEC_JOBS", "junk")
-        assert default_jobs() == 1
+        assert config_from_argv(["scan", "in.g6"]).jobs == 4
+        monkeypatch.setenv("LAPSPEC_JOBS", "")
+        assert config_from_argv(["scan", "in.g6"]).jobs == 1
         monkeypatch.delenv("LAPSPEC_JOBS")
-        assert default_jobs() == 1
+        assert config_from_argv(["scan", "in.g6"]).jobs == 1
+        monkeypatch.setenv("LAPSPEC_JOBS", "junk")
+        assert config_from_argv(["scan", "in.g6", "--jobs", "2"]).jobs == 2
+        with pytest.raises(SystemExit) as excinfo:
+            config_from_argv(["scan", "in.g6"])
+        assert excinfo.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from lapspec.energy import (
@@ -37,6 +38,19 @@ class TestMEnergy:
     def test_rejects_multiset_size_mismatch(self):
         with pytest.raises(ValueError):
             m_energy([(0, 1)], 0, 2)
+
+    @given(
+        st.lists(
+            st.tuples(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)), st.integers(1, 4)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_the_direct_sum(self, entries):
+        n = sum(mult for _, mult in entries)
+        trace = sum(value * mult for value, mult in entries)
+        direct = sum((abs(Fraction(value) - Fraction(trace, n)) * mult for value, mult in entries), Fraction(0))
+        assert m_energy(entries, trace, n) == direct
 
 
 class TestLaplacianEnergy:

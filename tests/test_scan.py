@@ -1,28 +1,33 @@
+import csv
 import hashlib
+import importlib
+import itertools
 import json
 import random
+from concurrent.futures import Future
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 import helpers
-import lapspec.scan
 from lapspec.expr import parse
 from lapspec.families import family_specs, build
 from lapspec.realize import Graph6Error, graph6_encode, realize
 from lapspec.scan import (
     CERTIFIED_HIT,
     CHUNK_SIZE,
+    CSV_HEADER,
     MISS,
     NUMERIC_HIT,
     ScanRecord,
     dedupe_cospectral,
-    scan_file,
+    scan,
     scan_g6,
-    scan_lines,
-    write_csv,
-    write_jsonl,
 )
+
+# The package re-exports the function ``scan``, which hides the module of that name.
+scan_module = importlib.import_module("lapspec.scan")
 
 
 def g6(expr_text):
@@ -65,24 +70,24 @@ class TestScanOne:
 
 class TestScanStream:
     def test_verdicts_in_input_order(self):
-        records = list(scan_lines([K4, DIAMOND, FOUR_CYCLE]))
+        records = list(scan([K4, DIAMOND, FOUR_CYCLE]))
         assert [r.verdict for r in records] == [CERTIFIED_HIT, CERTIFIED_HIT, MISS]
         assert [r.index for r in records] == [1, 2, 3]
 
     def test_bad_lines_are_reported_and_skipped(self):
         errors = []
         records = list(
-            scan_lines([K4, "!!notgraph6!!", DIAMOND], on_error=lambda ln, msg: errors.append(ln))
+            scan([K4, "!!notgraph6!!", DIAMOND], on_error=lambda ln, msg: errors.append(ln))
         )
         assert [r.index for r in records] == [1, 3]
         assert errors == [2]
 
     def test_header_line_is_skipped(self):
-        records = list(scan_lines([">>graph6<<", K4]))
+        records = list(scan([">>graph6<<", K4]))
         assert [r.index for r in records] == [2]
 
     def test_empty_input(self):
-        assert list(scan_lines([])) == []
+        assert list(scan([])) == []
 
 
 class TestScanFile:
@@ -92,29 +97,34 @@ class TestScanFile:
         path.write_text("\n".join([K4, DIAMOND, "?!bad", FOUR_CYCLE]) + "\n", encoding="ascii")
         return str(path)
 
+    @staticmethod
+    def scan_path(path, **kwargs):
+        with open(path, encoding="ascii") as fh:
+            return list(scan(fh, **kwargs))
+
     def test_serial(self, corpus_path):
         errors = []
-        records = scan_file(corpus_path, on_error=lambda ln, msg: errors.append(ln))
+        records = self.scan_path(corpus_path, on_error=lambda ln, msg: errors.append(ln))
         assert [r.verdict for r in records] == [CERTIFIED_HIT, CERTIFIED_HIT, MISS]
         assert errors == [3]
 
     def test_parallel_matches_serial(self, corpus_path):
-        serial = scan_file(corpus_path)
-        parallel = scan_file(corpus_path, jobs=2)
+        serial = self.scan_path(corpus_path)
+        parallel = self.scan_path(corpus_path, jobs=2)
         assert serial == parallel
 
     def test_parallel_on_larger_input(self, tmp_path):
         lines = [K4, DIAMOND, FOUR_CYCLE] * 40
         path = tmp_path / "big.g6"
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        serial = scan_file(str(path))
-        parallel = scan_file(str(path), jobs=3)
+        serial = self.scan_path(path)
+        parallel = self.scan_path(path, jobs=3)
         assert serial == parallel
         assert len(serial) == 120
 
 
 class _RecordingPool:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers``, maps serially."""
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers``, runs tasks at submit."""
 
     def __init__(self, created, max_workers):
         created.append(max_workers)
@@ -125,8 +135,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestPoolSize:
@@ -137,23 +149,39 @@ class TestPoolSize:
     def test_workers_capped_by_chunks_and_cores(self, monkeypatch, n_chunks, cpus, expected):
         created = []
         monkeypatch.setattr(
-            lapspec.scan, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(created, max_workers)
+            scan_module, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(created, max_workers)
         )
-        monkeypatch.setattr(lapspec.scan.os, "cpu_count", lambda: cpus)
-        pairs = [(k + 1, [K4, DIAMOND, FOUR_CYCLE][k % 3]) for k in range((n_chunks - 1) * CHUNK_SIZE + 1)]
-        records = lapspec.scan.scan_records(pairs, jobs=100_000)
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cpus)
+        lines = [[K4, DIAMOND, FOUR_CYCLE][k % 3] for k in range((n_chunks - 1) * CHUNK_SIZE + 1)]
+        records = list(scan(lines, jobs=100_000))
         assert created == expected
-        assert records == lapspec.scan.scan_records(pairs)
+        assert records == list(scan(lines))
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_record_pulls_a_bounded_prefix(self, jobs):
+        pulled = 0
+
+        def endless():
+            nonlocal pulled
+            for line in itertools.cycle([K4, DIAMOND, FOUR_CYCLE]):
+                pulled += 1
+                yield line
+
+        with closing(scan(endless(), jobs=jobs)) as records:
+            assert next(records).index == 1
+            assert pulled <= (2 * jobs + 1) * CHUNK_SIZE
 
 
 class TestDedupe:
     def test_distinct_spectra_make_distinct_classes(self):
-        records = list(scan_lines([K4, DIAMOND]))
+        records = list(scan([K4, DIAMOND]))
         classes = dedupe_cospectral(records)
         assert len(classes) == 2
 
     def test_duplicate_lines_group(self):
-        records = list(scan_lines([K4, K4]))
+        records = list(scan([K4, K4]))
         classes = dedupe_cospectral(records)
         assert len(classes) == 1
         assert [r.index for r in classes[0]] == [1, 2]
@@ -162,11 +190,11 @@ class TestDedupe:
         assert dedupe_cospectral([]) == []
 
     def test_misses_are_ignored(self):
-        records = list(scan_lines([K4, FOUR_CYCLE]))
+        records = list(scan([K4, FOUR_CYCLE]))
         assert len(dedupe_cospectral(records)) == 1
 
     def test_classes_ordered_by_order_then_index(self):
-        records = list(scan_lines([K4, DIAMOND, "@"]))
+        records = list(scan([K4, DIAMOND, "@"]))
         classes = dedupe_cospectral(records)
         assert [cls[0].n for cls in classes] == [1, 4, 4]
         assert [cls[0].index for cls in classes] == [3, 1, 2]
@@ -190,7 +218,7 @@ class TestDeskScale:
             le = float(np.abs(mu - 2 * g.edge_count() / g.n).sum())
             if abs(le - 6.0) < 1e-9:
                 expected.add(tuple(int(round(x)) for x in mu))
-        records = list(scan_lines(graph6_encode(g) for g in graphs))
+        records = list(scan(graph6_encode(g) for g in graphs))
         certified = {r.certificate for r in records if r.verdict == CERTIFIED_HIT}
         assert all(r.verdict != NUMERIC_HIT for r in records)
         assert certified == expected
@@ -203,40 +231,33 @@ class TestDeskScale:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_small_orders_hit_only_complete_graphs(self, n):
         graphs = helpers.graph_classes(n)
-        records = list(scan_lines(graph6_encode(g) for g in graphs))
+        records = list(scan(graph6_encode(g) for g in graphs))
         hits = [r for r in records if r.verdict != MISS]
         assert len(hits) == 1
         assert hits[0].certificate == tuple([0] + [n] * (n - 1))
 
     def test_family_members_scan_as_certified(self):
         lines = [graph6_encode(realize(build(member))) for member in family_specs(1)]
-        records = list(scan_lines(lines))
+        records = list(scan(lines))
         assert all(r.verdict == CERTIFIED_HIT for r in records)
 
 
 class TestWriters:
-    def test_jsonl(self, tmp_path):
-        import json
-
-        records = list(scan_lines([K4, FOUR_CYCLE]))
-        path = tmp_path / "out.jsonl"
-        with open(path, "w") as fh:
-            write_jsonl(records, fh)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
+    def test_jsonl(self):
+        records = list(scan([K4, FOUR_CYCLE]))
+        first, second = (json.loads(json.dumps(r.to_json_obj())) for r in records)
         assert first["g6"] == K4
         assert first["verdict"] == CERTIFIED_HIT
         assert first["certificate"] == [0, 4, 4, 4]
-        assert json.loads(lines[1])["certificate"] is None
+        assert second["certificate"] is None
 
     def test_csv(self, tmp_path):
-        import csv
-
-        records = list(scan_lines([K4]))
+        records = list(scan([K4]))
         path = tmp_path / "out.csv"
         with open(path, "w", newline="") as fh:
-            write_csv(records, fh)
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            writer.writerows(r.csv_row() for r in records)
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["index", "g6", "n", "le", "verdict"]
         assert rows[1][0] == "1" and rows[1][1] == K4 and rows[1][4] == CERTIFIED_HIT
@@ -256,17 +277,18 @@ class TestNumericGate:
     """Changes to the numeric pass keep every verdict and certificate."""
 
     def test_corpus_verdicts_are_pinned(self, g6_corpus):
-        assert verdict_digest(scan_lines(g6_corpus)) == CORPUS_VERDICTS_SHA256
+        for jobs in (1, 2):
+            assert verdict_digest(scan(g6_corpus, jobs=jobs)) == CORPUS_VERDICTS_SHA256
 
     def test_jacobi_oracle_gives_the_same_verdicts(self, g6_corpus, monkeypatch):
         lines = g6_corpus[:1000]
-        expected = list(scan_lines(lines))
+        expected = list(scan(lines))
 
         def jacobi_stack(laps):
             return np.array([helpers.jacobi_eigenvalues(lap) for lap in laps]).reshape(laps.shape[:2])
 
-        monkeypatch.setattr(lapspec.scan, "symmetric_eigenvalues", jacobi_stack)
-        got = list(scan_lines(lines))
+        monkeypatch.setattr(scan_module, "symmetric_eigenvalues", jacobi_stack)
+        got = list(scan(lines))
         assert verdict_digest(got) == verdict_digest(expected)
         assert [r.numeric_le for r in got] == pytest.approx([r.numeric_le for r in expected], abs=1e-8)
 
@@ -293,7 +315,7 @@ class TestBatchIndependence:
         path = tmp_path / "in.g6"
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
         errors = []
-        streamed = list(scan_lines(lines, on_error=lambda ln, msg: errors.append((ln, msg))))
+        streamed = list(scan(lines, on_error=lambda ln, msg: errors.append((ln, msg))))
         per_line = []
         for lineno, line in enumerate(lines, start=1):
             try:
@@ -301,7 +323,8 @@ class TestBatchIndependence:
             except Graph6Error:
                 pass
         pool_errors = []
-        pooled = scan_file(str(path), jobs=2, on_error=lambda ln, msg: pool_errors.append((ln, msg)))
+        with open(path, encoding="ascii") as fh:
+            pooled = list(scan(fh, jobs=2, on_error=lambda ln, msg: pool_errors.append((ln, msg))))
         assert streamed == per_line == pooled
         assert errors == pool_errors
         assert len(streamed) + len(errors) == len(lines)
@@ -309,4 +332,4 @@ class TestBatchIndependence:
 
 def test_determinism_repeated_runs():
     lines = [K4, DIAMOND, FOUR_CYCLE]
-    assert list(scan_lines(lines)) == list(scan_lines(lines))
+    assert list(scan(lines)) == list(scan(lines))
