@@ -44,12 +44,11 @@ def _relabeled(mask: int, pairs, index, perm) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5)
-    parser.add_argument("--tol", type=float, default=1e-6)
     args = parser.parse_args()
 
     for n in range(1, args.max_n + 1):
         lines = [graph6_encode(g) for g in graph_classes(n)]
-        records = list(scan(lines, tol=args.tol))
+        records = list(scan(lines))
         hits = [r for r in records if r.verdict != "miss"]
         print(f"n={n}: {len(records)} isomorphism classes, {len(hits)} hits")
         for group in dedupe_cospectral(hits):

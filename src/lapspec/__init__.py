@@ -2,7 +2,6 @@
 hunting over union/join/complement graph expressions."""
 
 from .energy import (
-    BorderenergeticVerdict,
     EnergyReport,
     energy_report,
     is_cospectral,
@@ -58,12 +57,9 @@ from .scan import (
 )
 from .spectrum import (
     Spectrum,
-    complement_spectrum,
-    join_spectra,
     multiplicity_of_zero,
     spectrum_of,
     spectrum_of_complete,
-    union_spectra,
 )
 
 __version__ = "0.1.0"

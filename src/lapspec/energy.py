@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .spectrum import Rational, Spectrum, spectrum_of_complete
+from .spectrum import Spectrum, spectrum_of_complete
 
 __all__ = [
     "EnergyReport",
-    "BorderenergeticVerdict",
     "m_energy",
     "laplacian_energy",
     "is_l_borderenergetic",
@@ -28,7 +27,7 @@ __all__ = [
 ]
 
 
-def m_energy(entries: Iterable[tuple[Rational, int]], trace: Rational, n: int) -> Fraction:
+def m_energy(entries: Iterable[tuple[int | Fraction, int]], trace: int | Fraction, n: int) -> Fraction:
     """Sum of ``|eigenvalue - trace/n|`` over a multiset of ``n`` eigenvalues.
 
     ``entries`` is any iterable of ``(value, multiplicity)`` pairs; the caller
@@ -49,23 +48,9 @@ def laplacian_energy(s: Spectrum) -> Fraction:
     return m_energy(s.entries, s.trace(), s.n)
 
 
-@dataclass(frozen=True)
-class BorderenergeticVerdict:
-    """Outcome of the L-borderenergetic test, with the compared quantities."""
-
-    is_l_borderenergetic: bool
-    laplacian_energy: Fraction
-    target: int
-
-    def __bool__(self) -> bool:
-        return self.is_l_borderenergetic
-
-
-def is_l_borderenergetic(s: Spectrum) -> BorderenergeticVerdict:
+def is_l_borderenergetic(s: Spectrum) -> bool:
     """Whether the Laplacian energy equals ``2n - 2`` exactly."""
-    le = laplacian_energy(s)
-    target = 2 * s.n - 2
-    return BorderenergeticVerdict(le == target, le, target)
+    return laplacian_energy(s) == 2 * s.n - 2
 
 
 def is_cospectral(s1: Spectrum, s2: Spectrum) -> bool:
@@ -101,13 +86,14 @@ def energy_report(s: Spectrum) -> EnergyReport:
     trace = s.trace()
     if trace.denominator != 1 or trace.numerator % 2:
         raise ValueError("spectrum trace is not an even integer; not a Laplacian spectrum")
-    verdict = is_l_borderenergetic(s)
+    le = laplacian_energy(s)
+    target = 2 * s.n - 2
     return EnergyReport(
         n=s.n,
         m=trace.numerator // 2,
-        avg_degree=trace / s.n,
-        laplacian_energy=verdict.laplacian_energy,
-        target=verdict.target,
-        is_l_borderenergetic=verdict.is_l_borderenergetic,
+        avg_degree=Fraction(trace, s.n),
+        laplacian_energy=le,
+        target=target,
+        is_l_borderenergetic=le == target,
         is_complete=is_cospectral(s, spectrum_of_complete(s.n)),
     )

@@ -11,12 +11,15 @@ An expression denotes a finite simple graph assembled from complete graphs
 Repetition binds tightest, then ``*``, then ``+``; both binary operators
 associate to the left and parentheses group as usual.  ``3K1 * K1`` is
 therefore the join of three isolated vertices with a single vertex, i.e.
-the star on four vertices.
+the star on four vertices.  Chains of operators and of ``~`` may be of any
+length; parentheses may nest at most ``MAX_NESTING`` (200) deep.  The walks
+below are ``fold``s, which need no recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 __all__ = [
     "GraphExpr",
@@ -28,13 +31,17 @@ __all__ = [
     "ParseError",
     "LiteralOverflowError",
     "MAX_LITERAL",
+    "MAX_NESTING",
     "parse",
+    "fold",
     "render",
     "order",
     "edge_count",
 ]
 
 MAX_LITERAL = 10**9
+
+MAX_NESTING = 200  # the parser recurses per level, well inside the default recursion limit
 
 
 class ParseError(ValueError):
@@ -153,6 +160,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0  # open parentheses
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.k]
@@ -185,19 +193,27 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> GraphExpr:
+        tildes = 0
+        while self.peek()[0] == "TILDE":
+            self.k += 1
+            tildes += 1
         kind, _, pos = self.peek()
         if kind == "K":
             self.k += 1
-            return Complete(self.take("INT")[1])  # type: ignore[arg-type]
-        if kind == "TILDE":
+            e: GraphExpr = Complete(self.take("INT")[1])  # type: ignore[arg-type]
+        elif kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.k += 1
-            return Complement(self.atom())
-        if kind == "LPAREN":
-            self.k += 1
+            self.depth += 1
             e = self.union()
             self.take("RPAREN")
-            return e
-        raise ParseError(f"expected 'K', '~', '(' or an integer, found {_show(self.peek())}", pos)
+            self.depth -= 1
+        else:
+            raise ParseError(f"expected 'K', '~', '(' or an integer, found {_show(self.peek())}", pos)
+        for _ in range(tildes):
+            e = Complement(e)
+        return e
 
 
 def parse(text: str) -> GraphExpr:
@@ -208,60 +224,98 @@ def parse(text: str) -> GraphExpr:
     return e
 
 
+# --- evaluation ----------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def fold(expr: GraphExpr, combine: Callable[[GraphExpr, Sequence[T]], T]) -> T:
+    """Evaluate ``expr`` bottom-up: ``combine(node, child_values)`` at every node.
+
+    Child values come in order, left before right.  ``combine`` only sees the
+    five node classes; any other node raises ``TypeError``.  The walk keeps
+    its own stacks, so Python's recursion limit does not bound its depth.
+    """
+    # Pre-order with the right child first, reversed, is post-order with the left first.
+    nodes: list[tuple[GraphExpr, int]] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        match node:
+            case Complete():
+                children: tuple[GraphExpr, ...] = ()
+            case Union(left, right) | Join(left, right):
+                children = (left, right)
+            case Repeat(_, inner) | Complement(inner):
+                children = (inner,)
+            case _:
+                raise TypeError(f"not a GraphExpr: {node!r}")
+        nodes.append((node, len(children)))
+        stack.extend(children)
+    values: list[T] = []
+    for node, arity in reversed(nodes):
+        split = len(values) - arity
+        args = values[split:]
+        del values[split:]
+        values.append(combine(node, args))
+    return values[0]
+
+
 # --- printing ----------------------------------------------------------------
 
 
-def render(expr: GraphExpr) -> str:
-    """Canonical, fully parenthesized text; ``parse(render(e)) == e``."""
-    match expr:
+def _render_node(node: GraphExpr, texts: Sequence[str]) -> str:
+    match node:
         case Complete(n):
             return f"K{n}"
-        case Union(left, right):
-            return f"({render(left)} + {render(right)})"
-        case Join(left, right):
-            return f"({render(left)} * {render(right)})"
+        case Union():
+            return f"({texts[0]} + {texts[1]})"
+        case Join():
+            return f"({texts[0]} * {texts[1]})"
         case Repeat(m, inner):
-            return f"{m}{_atom_text(inner)}"
+            return f"{m}{_atom_text(inner, texts[0])}"
         case Complement(inner):
-            return f"~{_atom_text(inner)}"
-    raise TypeError(f"not a GraphExpr: {expr!r}")
+            return f"~{_atom_text(inner, texts[0])}"
 
 
-def _atom_text(expr: GraphExpr) -> str:
+def _atom_text(expr: GraphExpr, text: str) -> str:
     # Repeat is the one node whose rendering is not itself an atom.
-    text = render(expr)
     return f"({text})" if isinstance(expr, Repeat) else text
+
+
+def render(expr: GraphExpr) -> str:
+    """Canonical, fully parenthesized text; ``parse(render(e)) == e`` while
+    that text nests at most ``MAX_NESTING`` parentheses."""
+    return fold(expr, _render_node)
 
 
 # --- structural counts ---------------------------------------------------------
 
 
+def _size(node: GraphExpr, sizes: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """``(vertices, edges)`` of a node from those of its children."""
+    match node:
+        case Complete(n):
+            return n, n * (n - 1) // 2
+        case Union():
+            (n1, m1), (n2, m2) = sizes
+            return n1 + n2, m1 + m2
+        case Join():
+            (n1, m1), (n2, m2) = sizes
+            return n1 + n2, m1 + m2 + n1 * n2
+        case Repeat(k):
+            ((n, m),) = sizes
+            return k * n, k * m
+        case Complement():
+            ((n, m),) = sizes
+            return n, n * (n - 1) // 2 - m
+
+
 def order(expr: GraphExpr) -> int:
     """Number of vertices of the denoted graph."""
-    match expr:
-        case Complete(n):
-            return n
-        case Union(left, right) | Join(left, right):
-            return order(left) + order(right)
-        case Repeat(m, inner):
-            return m * order(inner)
-        case Complement(inner):
-            return order(inner)
-    raise TypeError(f"not a GraphExpr: {expr!r}")
+    return fold(expr, _size)[0]
 
 
 def edge_count(expr: GraphExpr) -> int:
     """Number of edges of the denoted graph."""
-    match expr:
-        case Complete(n):
-            return n * (n - 1) // 2
-        case Union(left, right):
-            return edge_count(left) + edge_count(right)
-        case Join(left, right):
-            return edge_count(left) + edge_count(right) + order(left) * order(right)
-        case Repeat(m, inner):
-            return m * edge_count(inner)
-        case Complement(inner):
-            n = order(inner)
-            return n * (n - 1) // 2 - edge_count(inner)
-    raise TypeError(f"not a GraphExpr: {expr!r}")
+    return fold(expr, _size)[1]

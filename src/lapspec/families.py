@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .energy import is_cospectral, laplacian_energy
+from .energy import energy_report, is_cospectral
 from .expr import GraphExpr, parse
-from .spectrum import Spectrum, spectrum_of, spectrum_of_complete
+from .spectrum import Spectrum, spectrum_of
 
 __all__ = [
     "FAMILY_IDS",
@@ -230,17 +230,16 @@ def verify(spec: FamilySpec) -> FamilyVerdict:
     expr = build(spec)
     calculus = spectrum_of(expr)
     formula = closed_form_spectrum(spec)
-    le = laplacian_energy(calculus)
-    n = 4 * spec.r + 4
+    report = energy_report(calculus)
     return FamilyVerdict(
         spec=spec,
         expr=expr,
         calculus_spectrum=calculus,
         closed_form_spectrum=formula,
         spectra_match=is_cospectral(calculus, formula),
-        le=le,
-        le_matches_target=(le == 2 * n - 2),
-        noncospectral_with_complete=not is_cospectral(calculus, spectrum_of_complete(n)),
+        le=report.laplacian_energy,
+        le_matches_target=report.is_l_borderenergetic,
+        noncospectral_with_complete=not report.is_complete,
     )
 
 

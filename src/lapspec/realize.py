@@ -133,6 +133,7 @@ def realize(expr: GraphExpr, size_cap: int = DEFAULT_SIZE_CAP) -> DenseGraph:
 
 
 def _realize(expr: GraphExpr) -> DenseGraph:
+    # Recursive on purpose, as an independent route; ``order`` has checked every node.
     match expr:
         case Complete(n):
             return DenseGraph.complete(n)
@@ -144,7 +145,6 @@ def _realize(expr: GraphExpr) -> DenseGraph:
             return _realize(inner).repeat(m)
         case Complement(inner):
             return _realize(inner).complement()
-    raise TypeError(f"not a GraphExpr: {expr!r}")
 
 
 def laplacian_matrix(g: DenseGraph) -> np.ndarray:

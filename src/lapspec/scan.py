@@ -119,7 +119,8 @@ def scan(
         for chunk in chain(head, chunks):
             yield from _deliver(chunk, task(chunk), on_error)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
         pending = deque((chunk, pool.submit(task, chunk)) for chunk in head)
         while pending:
             chunk, future = pending.popleft()
@@ -127,6 +128,9 @@ def scan(
             if nxt is not None:
                 pending.append((nxt, pool.submit(task, nxt)))
             yield from _deliver(chunk, future.result(), on_error)
+    finally:
+        # A consumer that stops early does not wait for chunks no worker has started.
+        pool.shutdown(cancel_futures=True)
 
 
 # --- numeric pass, one bounded chunk at a time -------------------------------

@@ -8,30 +8,28 @@ Spectra compose structurally, so no matrix is ever diagonalized here:
 * a join keeps one zero, shifts the remaining eigenvalues of each side by
   the other side's order, and appends ``n1 + n2``.
 
-Eigenvalues are exact rationals.  Everything an expression can denote is in
-fact Laplacian integral, but the energy computation needs a rational mean
-anyway and scanned certificates reuse the same type.
+Every expression denotes a cograph, and cographs are Laplacian integral:
+``spectrum_of`` applies these rules in one ``fold`` over the expression,
+on ``{eigenvalue: multiplicity}`` dicts of Python ints, and validates a
+single ``Spectrum`` at the root.  ``Spectrum`` itself also holds rational
+eigenvalues (a closed form or a JSON object may carry them); an integral
+value is always stored as an ``int``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .expr import Complement, Complete, GraphExpr, Join, Repeat, Union
+from .expr import Complement, Complete, GraphExpr, Join, Repeat, Union, fold
 
 __all__ = [
     "Spectrum",
     "spectrum_of",
     "spectrum_of_complete",
-    "union_spectra",
-    "complement_spectrum",
-    "join_spectra",
     "multiplicity_of_zero",
 ]
-
-Rational = Fraction | int
 
 
 @dataclass(frozen=True)
@@ -39,11 +37,12 @@ class Spectrum:
     """Multiset of Laplacian eigenvalues of a graph on ``n`` vertices.
 
     ``entries`` holds ``(eigenvalue, multiplicity)`` pairs sorted ascending
-    with distinct eigenvalues (equal values merged).
+    with distinct eigenvalues (equal values merged); an integral eigenvalue
+    is an ``int``, any other a ``Fraction``.
     """
 
     n: int
-    entries: tuple[tuple[Fraction, int], ...]
+    entries: tuple[tuple[int | Fraction, int], ...]
 
     def __post_init__(self):
         if self.n < 1:
@@ -65,33 +64,25 @@ class Spectrum:
             raise ValueError("Laplacian eigenvalues cannot exceed the order")
 
     @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[Rational, int]]) -> "Spectrum":
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int | Fraction, int]]) -> "Spectrum":
         """Build a spectrum from possibly unsorted, possibly duplicated pairs.
 
         Pairs with multiplicity 0 are dropped; equal eigenvalues are merged.
+        Values may be any exact rationals; integral ones are stored as ``int``.
         """
-        acc: dict[Fraction, int] = {}
-        for value, mult in pairs:
-            if mult < 0:
-                raise ValueError("multiplicities cannot be negative")
-            if mult == 0:
-                continue
-            v = Fraction(value)
-            acc[v] = acc.get(v, 0) + mult
-        return cls(n, tuple(sorted(acc.items())))
+        return cls(n, tuple(sorted(_merge((_exact(value), mult) for value, mult in pairs).items())))
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         """Sum of all eigenvalues with multiplicity (equals twice the edge count)."""
-        return sum((value * mult for value, mult in self.entries), Fraction(0))
+        return sum(value * mult for value, mult in self.entries)
 
-    def multiplicity(self, value: Rational) -> int:
-        v = Fraction(value)
+    def multiplicity(self, value: int | Fraction) -> int:
         for entry_value, mult in self.entries:
-            if entry_value == v:
+            if entry_value == value:
                 return mult
         return 0
 
-    def expanded(self) -> list[Fraction]:
+    def expanded(self) -> list[int | Fraction]:
         """All ``n`` eigenvalues as a flat ascending list."""
         return [value for value, mult in self.entries for _ in range(mult)]
 
@@ -108,67 +99,56 @@ class Spectrum:
 
 def spectrum_of_complete(n: int) -> Spectrum:
     """Spectrum of the complete graph: one 0 and ``n`` with multiplicity n-1."""
-    if n == 1:
-        return Spectrum.from_pairs(1, [(0, 1)])
     return Spectrum.from_pairs(n, [(0, 1), (n, n - 1)])
 
 
-def union_spectra(s1: Spectrum, s2: Spectrum) -> Spectrum:
-    """Spectrum of a disjoint union: the multiset union of the operands."""
-    return Spectrum.from_pairs(s1.n + s2.n, list(s1.entries) + list(s2.entries))
+def _exact(value: int | Fraction) -> int | Fraction:
+    v = value if isinstance(value, int) else Fraction(value)
+    return v.numerator if v.denominator == 1 else v
 
 
-def complement_spectrum(s: Spectrum) -> Spectrum:
-    """Spectrum of the complement on the same vertex set.
-
-    Exactly one zero is removed (no matter how many the graph has), every
-    remaining eigenvalue ``mu`` reflects to ``n - mu``, and a fresh zero is
-    added back.  Applied twice this is the identity.
-    """
-    n = s.n
-    pairs: list[tuple[Rational, int]] = [(Fraction(0), 1)]
-    for value, mult in s.entries:
-        remaining = mult - 1 if value == 0 else mult
-        if remaining:
-            pairs.append((n - value, remaining))
-    return Spectrum.from_pairs(n, pairs)
+def _merge(*parts: Iterable[tuple[int | Fraction, int]]) -> dict:
+    """``{value: multiplicity}``: equal values merged, zero multiplicities dropped."""
+    out: dict = {}
+    for part in parts:
+        for value, mult in part:
+            if mult < 0:
+                raise ValueError("multiplicities cannot be negative")
+            if mult:
+                out[value] = out.get(value, 0) + mult
+    return out
 
 
-def join_spectra(s1: Spectrum, s2: Spectrum) -> Spectrum:
-    """Spectrum of a join of graphs on ``n1`` and ``n2`` vertices.
+def _rest(eigs: dict[int, int], move: Callable[[int], int]) -> Iterator[tuple[int, int]]:
+    """Every eigenvalue mapped by ``move``, but for one 0 (a Laplacian spectrum has one)."""
+    return ((move(value), mult - 1 if value == 0 else mult) for value, mult in eigs.items())
 
-    One zero survives; the other eigenvalues of each side shift up by the
-    opposite side's order; ``n1 + n2`` joins the multiset once.
-    """
-    n1, n2 = s1.n, s2.n
-    pairs: list[tuple[Rational, int]] = [(Fraction(0), 1), (Fraction(n1 + n2), 1)]
-    for value, mult in s1.entries:
-        remaining = mult - 1 if value == 0 else mult
-        if remaining:
-            pairs.append((value + n2, remaining))
-    for value, mult in s2.entries:
-        remaining = mult - 1 if value == 0 else mult
-        if remaining:
-            pairs.append((value + n1, remaining))
-    return Spectrum.from_pairs(n1 + n2, pairs)
+
+def _compose(node: GraphExpr, sides: Sequence[tuple[int, dict[int, int]]]) -> tuple[int, dict[int, int]]:
+    """``(order, eigenvalues)`` of a node from those of its children; all ints."""
+    match node:
+        case Complete(n):
+            return n, _merge([(0, 1), (n, n - 1)])
+        case Union():
+            (n1, e1), (n2, e2) = sides
+            return n1 + n2, _merge(e1.items(), e2.items())
+        case Join():
+            (n1, e1), (n2, e2) = sides
+            n = n1 + n2
+            return n, _merge([(0, 1), (n, 1)], _rest(e1, lambda v: v + n2), _rest(e2, lambda v: v + n1))
+        case Repeat(m):
+            # m-fold union scales every multiplicity.
+            ((n, eigs),) = sides
+            return m * n, {value: m * mult for value, mult in eigs.items()}
+        case Complement():
+            ((n, eigs),) = sides
+            return n, _merge([(0, 1)], _rest(eigs, lambda v: n - v))
 
 
 def spectrum_of(expr: GraphExpr) -> Spectrum:
     """Exact Laplacian spectrum of the graph an expression denotes."""
-    match expr:
-        case Complete(n):
-            return spectrum_of_complete(n)
-        case Union(left, right):
-            return union_spectra(spectrum_of(left), spectrum_of(right))
-        case Join(left, right):
-            return join_spectra(spectrum_of(left), spectrum_of(right))
-        case Repeat(m, inner):
-            # m-fold union scales every multiplicity; avoids m-1 recursions.
-            s = spectrum_of(inner)
-            return Spectrum.from_pairs(m * s.n, [(v, m * k) for v, k in s.entries])
-        case Complement(inner):
-            return complement_spectrum(spectrum_of(inner))
-    raise TypeError(f"not a GraphExpr: {expr!r}")
+    n, eigs = fold(expr, _compose)
+    return Spectrum(n, tuple(sorted(eigs.items())))
 
 
 def multiplicity_of_zero(s: Spectrum) -> int:

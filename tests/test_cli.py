@@ -4,7 +4,7 @@ import pytest
 
 import lapspec.families
 from lapspec.cli import CommandConfig, config_from_argv, main, run
-from lapspec.expr import parse
+from lapspec.expr import MAX_NESTING, parse
 from lapspec.realize import graph6_encode, realize
 from lapspec.spectrum import Spectrum
 
@@ -63,6 +63,35 @@ class TestCospectral:
     def test_json(self, capsys):
         assert main(["cospectral", "K2", "K1 * K1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"cospectral": True}
+
+
+class TestDeepExpressions:
+    def test_long_join_chain(self, capsys):
+        assert main(["eval", " * ".join(["K1"] * 2000)]) == 0
+        out = capsys.readouterr().out
+        assert "n                  2000" in out
+        assert "complete graph     yes" in out
+
+    def test_long_union_chain(self, capsys):
+        assert main(["cospectral", " + ".join(["K2"] * 3000), "3000K2"]) == 0
+        assert capsys.readouterr().out == "cospectral\n"
+
+    def test_long_complement_chain(self, capsys):
+        assert main(["spectrum", "~" * 3000 + "K2"]) == 0
+        out = capsys.readouterr().out
+        assert main(["spectrum", "K2"]) == 0
+        assert out == capsys.readouterr().out
+
+    def test_parentheses_at_the_nesting_limit(self, capsys):
+        assert main(["eval", "(" * MAX_NESTING + "K3" + ")" * MAX_NESTING, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+    def test_parentheses_past_the_nesting_limit_exit_2(self, depth, capsys):
+        assert main(["eval", "(" * depth + "K3" + ")" * depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parentheses nested deeper than {MAX_NESTING} (at offset {MAX_NESTING})\n"
 
 
 class TestVerifyFamily:

@@ -86,20 +86,26 @@ class TestLaplacianEnergy:
 
 class TestBorderenergetic:
     def test_complete_graph_is_trivially_at_target(self):
-        verdict = is_l_borderenergetic(spectrum_of_complete(5))
-        assert verdict
-        assert verdict.laplacian_energy == verdict.target == 8
+        s = spectrum_of_complete(5)
+        assert is_l_borderenergetic(s) is True
+        report = energy_report(s)
+        assert report.is_l_borderenergetic
+        assert report.laplacian_energy == report.target == 8
 
     def test_family_member_hits_target(self):
-        verdict = is_l_borderenergetic(spec(8, (0, 1), (3, 3), (5, 3), (8, 1)))
-        assert verdict
-        assert verdict.laplacian_energy == 14
+        s = spec(8, (0, 1), (3, 3), (5, 3), (8, 1))
+        assert is_l_borderenergetic(s) is True
+        report = energy_report(s)
+        assert report.is_l_borderenergetic
+        assert report.laplacian_energy == 14
 
     def test_four_cycle_misses(self):
-        verdict = is_l_borderenergetic(spectrum_of(parse("2K1 * 2K1")))
-        assert not verdict
-        assert verdict.laplacian_energy == 4
-        assert verdict.target == 6
+        s = spectrum_of(parse("2K1 * 2K1"))
+        assert is_l_borderenergetic(s) is False
+        report = energy_report(s)
+        assert not report.is_l_borderenergetic
+        assert report.laplacian_energy == 4
+        assert report.target == 6
 
 
 class TestCospectral:

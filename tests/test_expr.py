@@ -8,11 +8,13 @@ from lapspec.expr import (
     Complement,
     Complete,
     Join,
+    MAX_NESTING,
     LiteralOverflowError,
     ParseError,
     Repeat,
     Union,
     edge_count,
+    fold,
     order,
     parse,
     render,
@@ -141,3 +143,53 @@ class TestCounts:
     def test_complement_edge_identity(self, e):
         n = order(e)
         assert edge_count(Complement(e)) == n * (n - 1) // 2 - edge_count(e)
+
+
+class TestDepth:
+    def test_nesting_limit(self):
+        assert parse("(" * MAX_NESTING + "K1" + ")" * MAX_NESTING) == K1
+        with pytest.raises(ParseError) as excinfo:
+            parse("K2 + " + "(" * (MAX_NESTING + 1) + "K1" + ")" * (MAX_NESTING + 1))
+        assert excinfo.value.pos == len("K2 + ") + MAX_NESTING
+
+    def test_complement_chain_has_no_limit(self):
+        e = parse("~" * 5000 + "K2")
+        for _ in range(5000):
+            assert isinstance(e, Complement)
+            e = e.inner
+        assert e == Complete(2)
+
+    def test_deep_trees_count_and_render(self):
+        n = 5000
+        e = parse(" * ".join(["K1"] * n))
+        assert order(e) == n
+        assert edge_count(e) == n * (n - 1) // 2
+        assert render(e) == "(" * (n - 1) + "K1" + " * K1)" * (n - 1)
+        assert edge_count(parse(" + ".join(["K2"] * n))) == n
+
+
+class TestFold:
+    def test_post_order_left_to_right(self):
+        seen = []
+
+        def combine(node, values):
+            seen.append((render(node), list(values)))
+            return len(seen)
+
+        assert fold(parse("K1 + ~K2 * 2K3"), combine) == 7
+        assert seen == [
+            ("K1", []),
+            ("K2", []),
+            ("~K2", [2]),
+            ("K3", []),
+            ("2K3", [4]),
+            ("(~K2 * 2K3)", [3, 5]),
+            ("(K1 + (~K2 * 2K3))", [1, 6]),
+        ]
+
+    @pytest.mark.parametrize("walk", [render, order, edge_count])
+    def test_non_expressions_raise_type_error(self, walk):
+        with pytest.raises(TypeError, match="not a GraphExpr"):
+            walk(Union(K1, "K1"))
+        with pytest.raises(TypeError, match="not a GraphExpr"):
+            walk(None)

@@ -129,16 +129,45 @@ class _RecordingPool:
     def __init__(self, created, max_workers):
         created.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, *args):
         future = Future()
         future.set_result(fn(*args))
         return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _LazyFuture(Future):
+    """A future that stays pending until its result is read, and only then runs its task."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self.task = (fn, args)
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self.task
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+class _LazyPool:
+    """Stands in for ``ProcessPoolExecutor``: no task starts until its result is read."""
+
+    def __init__(self):
+        self.futures = []
+        self.shutdowns = []
+
+    def submit(self, fn, *args):
+        self.futures.append(_LazyFuture(fn, args))
+        return self.futures[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+        if cancel_futures:
+            for future in self.futures:
+                future.cancel()
 
 
 class TestPoolSize:
@@ -172,6 +201,40 @@ class TestLaziness:
         with closing(scan(endless(), jobs=jobs)) as records:
             assert next(records).index == 1
             assert pulled <= (2 * jobs + 1) * CHUNK_SIZE
+
+
+@pytest.fixture
+def lazy_pools(monkeypatch):
+    pools = []
+
+    def make(max_workers):
+        pools.append(_LazyPool())
+        return pools[-1]
+
+    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
+    return pools
+
+
+class TestEarlyStop:
+    def test_close_cancels_the_chunks_not_started(self, lazy_pools):
+        lines = [[K4, DIAMOND, FOUR_CYCLE][k % 3] for k in range(8 * CHUNK_SIZE)]
+        records = scan(lines, jobs=2)
+        assert next(records).index == 1
+        records.close()
+        (pool,) = lazy_pools
+        assert pool.shutdowns == [True]
+        # Two chunks per worker were in flight, and one more was submitted before the first was read.
+        assert len(pool.futures) == 5
+        assert pool.futures[0].done() and not pool.futures[0].cancelled()
+        assert all(future.cancelled() for future in pool.futures[1:])
+
+    def test_a_full_read_cancels_nothing(self, lazy_pools):
+        lines = [[K4, DIAMOND, FOUR_CYCLE][k % 3] for k in range(5 * CHUNK_SIZE)]
+        assert list(scan(lines, jobs=2)) == list(scan(lines))
+        (pool,) = lazy_pools
+        assert len(pool.futures) == 5
+        assert not any(future.cancelled() for future in pool.futures)
 
 
 class TestDedupe:

@@ -4,16 +4,8 @@ import pytest
 from hypothesis import given
 
 import helpers
-from lapspec.expr import Repeat, Union, edge_count, order, parse
-from lapspec.spectrum import (
-    Spectrum,
-    complement_spectrum,
-    join_spectra,
-    multiplicity_of_zero,
-    spectrum_of,
-    spectrum_of_complete,
-    union_spectra,
-)
+from lapspec.expr import Complement, Join, Repeat, Union, edge_count, order, parse
+from lapspec.spectrum import Spectrum, multiplicity_of_zero, spectrum_of, spectrum_of_complete
 
 
 def spec(n, *pairs):
@@ -48,6 +40,11 @@ class TestSpectrumType:
     def test_trace(self):
         assert spec(4, (0, 1), (2, 2), (4, 1)).trace() == 8
 
+    def test_integral_values_are_ints(self):
+        s = Spectrum.from_pairs(4, [(Fraction(0), 1), (Fraction(4, 2), 2), (4.0, 1)])
+        assert [type(v) for v, _ in s.entries] == [int, int, int]
+        assert type(Spectrum.from_pairs(2, [(0, 1), (Fraction(2), 1)]).trace()) is int
+
     def test_json_roundtrip(self):
         s = spec(4, (0, 1), (Fraction(5, 2), 2), (4, 1))
         obj = s.to_json_obj()
@@ -68,57 +65,49 @@ class TestBaseCases:
 
 class TestUnion:
     def test_two_isolated_vertices(self):
-        s1 = spectrum_of_complete(1)
-        assert union_spectra(s1, s1) == spec(2, (0, 2))
+        assert spectrum_of(parse("K1 + K1")) == spec(2, (0, 2))
 
     def test_two_edges(self):
-        s = spectrum_of_complete(2)
-        assert union_spectra(s, s) == spec(4, (0, 2), (2, 2))
+        assert spectrum_of(parse("K2 + K2")) == spec(4, (0, 2), (2, 2))
 
     def test_star_plus_isolated_vertex(self):
-        star = spectrum_of(parse("K1 * 2K1"))
-        assert star == spec(3, (0, 1), (1, 1), (3, 1))
-        assert union_spectra(star, spectrum_of_complete(1)) == spec(4, (0, 2), (1, 1), (3, 1))
+        assert spectrum_of(parse("K1 * 2K1")) == spec(3, (0, 1), (1, 1), (3, 1))
+        assert spectrum_of(parse("(K1 * 2K1) + K1")) == spec(4, (0, 2), (1, 1), (3, 1))
 
 
 class TestComplement:
     def test_complement_of_complete(self):
-        assert complement_spectrum(spectrum_of_complete(3)) == spec(3, (0, 3))
+        assert spectrum_of(parse("~K3")) == spec(3, (0, 3))
 
     def test_complement_of_empty(self):
-        assert complement_spectrum(spec(3, (0, 3))) == spec(3, (0, 1), (3, 2))
+        assert spectrum_of(parse("~(3K1)")) == spec(3, (0, 1), (3, 2))
 
     def test_complement_of_edge_plus_two_vertices_is_diamond(self):
         s = spectrum_of(parse("K2 + 2K1"))
         assert s == spec(4, (0, 3), (2, 1))
-        assert complement_spectrum(s) == spec(4, (0, 1), (2, 1), (4, 2))
+        assert spectrum_of(parse("~(K2 + 2K1)")) == spec(4, (0, 1), (2, 1), (4, 2))
 
     @given(helpers.expr_strategy())
     def test_involution(self, e):
-        s = spectrum_of(e)
-        assert complement_spectrum(complement_spectrum(s)) == s
+        assert spectrum_of(Complement(Complement(e))) == spectrum_of(e)
 
 
 class TestJoin:
     def test_edge(self):
-        one = spectrum_of_complete(1)
-        assert join_spectra(one, one) == spec(2, (0, 1), (2, 1))
+        assert spectrum_of(parse("K1 * K1")) == spec(2, (0, 1), (2, 1))
 
     def test_matching_with_itself(self):
-        h = spectrum_of(parse("2K2"))
-        assert h == spec(4, (0, 2), (2, 2))
-        assert join_spectra(h, h) == spec(8, (0, 1), (4, 2), (6, 4), (8, 1))
+        assert spectrum_of(parse("2K2")) == spec(4, (0, 2), (2, 2))
+        assert spectrum_of(parse("2K2 * 2K2")) == spec(8, (0, 1), (4, 2), (6, 4), (8, 1))
 
     def test_matching_with_star(self):
-        matching = spec(4, (0, 2), (2, 2))
-        star = spec(4, (0, 1), (1, 2), (4, 1))
-        joined = join_spectra(matching, star)
+        assert spectrum_of(parse("K1 * 3K1")) == spec(4, (0, 1), (1, 2), (4, 1))
+        joined = spectrum_of(parse("2K2 * (K1 * 3K1)"))
         assert joined == spec(8, (0, 1), (4, 1), (5, 2), (6, 2), (8, 2))
 
     @given(helpers.expr_strategy(max_leaves=4), helpers.expr_strategy(max_leaves=4))
     def test_commutative(self, e1, e2):
-        s1, s2 = spectrum_of(e1), spectrum_of(e2)
-        assert join_spectra(s1, s2) == join_spectra(s2, s1)
+        assert spectrum_of(Join(e1, e2)) == spectrum_of(Join(e2, e1))
 
 
 class TestSpectrumOf:
@@ -146,6 +135,7 @@ class TestSpectrumOf:
         assert sum(m for _, m in s.entries) == s.n
         assert s.entries[-1][0] <= s.n
         assert s.entries[0][0] == 0
+        assert all(type(value) is int for value, _ in s.entries)
 
 
 class TestZeroMultiplicity:
