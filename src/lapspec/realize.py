@@ -175,6 +175,9 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
 
 # --- exact spectrum certificate ---------------------------------------------
 
+# The certifier runs in int64 only while its overflow bound stays below this.
+_INT64_PROOF_LIMIT = 2**62
+
 
 def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
     """Whether the candidate integer multiset is exactly the spectrum of ``matrix``.
@@ -184,9 +187,15 @@ def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
     multiplicities, the candidate is the spectrum iff the product of
     ``M - kI`` over S vanishes (every eigenvalue lies in S) and
     ``tr(M^j) = sum(m_k * k^j)`` for ``j = 1 .. |S| - 1`` (a Vandermonde
-    system on distinct nodes then fixes the multiplicities).  Both checks
-    run on a Python-int copy of the matrix, so a wrong candidate is rejected,
-    never silently accepted.
+    system on distinct nodes then fixes the multiplicities).
+
+    Both checks run in int64 when ``(||M||_inf + max|k|)^|S| * n < 2^62``,
+    where ``||M||_inf`` is the largest absolute row sum.  That norm is
+    submultiplicative, so no partial sum of a product, power or trace can
+    then reach the int64 limit.  The norm and the bound are computed in
+    Python ints, so huge entries cannot wrap while they are checked.
+    Otherwise both checks run on Python ints.  Either way a wrong candidate
+    is rejected, never silently accepted.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -200,15 +209,18 @@ def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
     n = a.shape[0]
     if len(cand) != n:
         raise ValueError(f"candidate multiset has {len(cand)} values for order {n}")
-    entries = a.ravel().tolist()
-    ints = [int(x) for x in entries]
-    if ints != entries:
+    rows = a.tolist()
+    ints = [[int(x) for x in row] for row in rows]
+    if ints != rows:
         raise ValueError("matrix entries must be integers")
-    m = np.array(ints, dtype=object).reshape(n, n)
-    if not (m == m.T).all():
+    if list(map(list, zip(*ints))) != ints:
         raise ValueError("matrix must be exactly symmetric")
     multiplicity = Counter(cand)
-    eye = np.identity(n, dtype=object)
+    norm = max((sum(map(abs, row)) for row in ints), default=0)
+    bound = (norm + max(map(abs, multiplicity), default=0)) ** len(multiplicity) * n
+    dtype = np.int64 if bound < _INT64_PROOF_LIMIT else object
+    m = np.array(ints, dtype=dtype).reshape(n, n)
+    eye = np.identity(n, dtype=dtype)
     product = eye
     for k in multiplicity:
         product = product @ (m - k * eye)

@@ -3,17 +3,17 @@ complete-graph value ``2n - 2``.
 
 Each record gets a numeric verdict first (LAPACK eigenvalues of the
 realized Laplacian, solved in bounded chunks as one stack per order).  A
-numeric hit whose spectrum rounds to integers is then certified exactly
-from the minimal polynomial and power traces of its Laplacian; only an
-exact certificate upgrades the verdict, so non-integral near-hits stay
-explicitly labeled ``numeric_hit``.
+numeric hit whose spectrum rounds to integers with an LE of exactly
+``2n - 2`` is then certified exactly from the minimal polynomial and power
+traces of its Laplacian; only an exact certificate upgrades the verdict, so
+other near-hits stay explicitly labeled ``numeric_hit``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -22,9 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .energy import m_energy
 from .realize import (
-    DenseGraph,
     Graph6Error,
     certify_integer_spectrum,
     graph6_decode,
@@ -165,8 +163,9 @@ def _scan_chunk(chunk: Sequence[tuple[int, str]], tol: float) -> list[ScanRecord
     Returns, position for position, the record's ``ScanRecord`` or the
     message of the ``Graph6Error`` that rejected it (the message, not the
     exception: its traceback would tie this frame and the whole chunk into
-    a reference cycle).  Decoded graphs are grouped by order and each
-    group's Laplacians are solved as one stack.
+    a reference cycle).  Decoded graphs are grouped by order; each group's
+    Laplacians are solved as one stack and its verdict masks are array
+    operations, so only records that pass them reach the certifier.
     """
     results: list = [None] * len(chunk)
     graphs = {}
@@ -187,40 +186,28 @@ def _scan_chunk(chunk: Sequence[tuple[int, str]], tol: float) -> list[ScanRecord
         lap[:, diag, diag] = degrees
         eigs = symmetric_eigenvalues(lap)
         dbar = degrees.sum(axis=1) / max(n, 1)  # the order-0 graph has average degree 0
-        deviations = np.abs(eigs - dbar[:, None])
-        for pos, row, dev in zip(members, eigs.tolist(), deviations.tolist()):
+        # fsum is correctly rounded, so the LE does not depend on the batch shape.
+        les = [math.fsum(dev) for dev in np.abs(eigs - dbar[:, None]).tolist()]
+        target = 2 * n - 2
+        hit = np.abs(np.array(les) - target) < tol
+        rounded = np.rint(eigs).astype(np.int64)
+        # Only an integral hit whose LE is exactly 2n - 2 goes to the certifier.
+        # In integers, n * LE = sum |n * mu - 2m|, where 2m is the trace.
+        two_m = degrees.sum(axis=1).astype(np.int64)
+        candidate = (
+            hit
+            & (n > 0)
+            & (np.abs(eigs - rounded) < INTEGER_CANDIDATE_TOL).all(axis=1)
+            & (np.abs(n * rounded - two_m[:, None]).sum(axis=1) == n * target)
+        )
+        rows = zip(members, eigs.tolist(), les, rounded.tolist(), hit.tolist(), candidate.tolist())
+        for pos, row, le, ints, is_hit, is_candidate in rows:
             lineno, record = chunk[pos]
-            # fsum is correctly rounded, so the LE does not depend on the batch shape.
-            results[pos] = _classify(lineno, record, graphs[pos], row, math.fsum(dev), tol)
+            if is_candidate and certify_integer_spectrum(laplacian_matrix(graphs[pos]), ints):
+                results[pos] = ScanRecord(lineno, record, n, tuple(row), le, CERTIFIED_HIT, tuple(sorted(ints)))
+            else:
+                results[pos] = ScanRecord(lineno, record, n, tuple(row), le, NUMERIC_HIT if is_hit else MISS)
     return results
-
-
-def _classify(index: int, record: str, g: DenseGraph, eigs: list[float], le: float, tol: float) -> ScanRecord:
-    """Verdict for one graph from its ascending numeric spectrum and numeric LE."""
-    target = 2 * g.n - 2
-    verdict = MISS
-    certificate = None
-    if abs(le - target) < tol:
-        verdict = NUMERIC_HIT
-        rounded = [int(round(x)) for x in eigs]
-        if (
-            g.n > 0
-            and max(abs(x - k) for x, k in zip(eigs, rounded)) < INTEGER_CANDIDATE_TOL
-            and certify_integer_spectrum(laplacian_matrix(g), rounded)
-            # The certified candidate is the spectrum, so its sum is the trace.
-            and m_energy(Counter(rounded).items(), sum(rounded), g.n) == target
-        ):
-            verdict = CERTIFIED_HIT
-            certificate = tuple(sorted(rounded))
-    return ScanRecord(
-        index=index,
-        g6=record,
-        n=g.n,
-        numeric_spectrum=tuple(eigs),
-        numeric_le=le,
-        verdict=verdict,
-        certificate=certificate,
-    )
 
 
 def dedupe_cospectral(records: Iterable[ScanRecord]) -> list[list[ScanRecord]]:

@@ -1,8 +1,9 @@
+import importlib
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -23,6 +24,9 @@ from lapspec.realize import (
 from lapspec.spectrum import spectrum_of
 
 networkx = pytest.importorskip("networkx")
+
+# The package re-exports the function ``realize``, which hides the module of that name.
+realize_module = importlib.import_module("lapspec.realize")
 
 
 def numeric(expr_text):
@@ -256,9 +260,23 @@ class TestCertify:
         wrong[-2] -= 1
         assert not certify_integer_spectrum(lap, wrong)
 
+    def test_int64_wraparound_is_ruled_out(self):
+        # Unchecked int64 arithmetic wraps the product to exactly 0 here, and the
+        # j = 1 trace matches too, so it would accept the wrong candidate.
+        m = np.diag([2**32, -(2**32), -(2**32)])
+        assert not certify_integer_spectrum(m, [0, 0, -(2**32)])
+        assert certify_integer_spectrum(m, [2**32, -(2**32), -(2**32)])
+
+    def test_python_ints_prove_beyond_the_int64_bound(self):
+        # (19 + 19)^20 * 20 is far above 2^62, and tr(M^19) alone exceeds int64.
+        m = np.diag(range(20))
+        assert certify_integer_spectrum(m, range(20))
+        assert not certify_integer_spectrum(m, [0, 0, *range(2, 20)])
+
+    @pytest.mark.parametrize("path", ["int64", "object"])
     @given(_graphs_up_to_12(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_agrees_with_charpoly_oracle(self, g, data):
+    def test_agrees_with_charpoly_oracle(self, path, g, data):
         lap = laplacian_matrix(g)
         rounded = [int(round(x)) for x in symmetric_eigenvalues(lap)]
         candidates = [rounded]
@@ -269,9 +287,16 @@ class TestCertify:
             shifted[i] += 1
             shifted[j] -= 1
             candidates.append(shifted)
+        if path == "int64":
+            # Keep only examples whose every candidate is proved in int64.
+            norm = int(np.abs(lap).sum(axis=1).max(initial=0))
+            assume(all((norm + max(map(abs, c), default=0)) ** len(set(c)) * g.n < 2**62 for c in candidates))
         oracle = helpers.charpoly_coeffs(lap)
-        for cand in candidates:
-            assert certify_integer_spectrum(lap, cand) == (oracle == helpers.from_roots(cand))
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "object":
+                mp.setattr(realize_module, "_INT64_PROOF_LIMIT", 0)
+            for cand in candidates:
+                assert certify_integer_spectrum(lap, cand) == (oracle == helpers.from_roots(cand))
 
 
 class TestGraph6:

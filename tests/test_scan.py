@@ -12,8 +12,8 @@ import pytest
 
 import helpers
 from lapspec.expr import parse
-from lapspec.families import family_specs, build
-from lapspec.realize import Graph6Error, graph6_encode, realize
+from lapspec.families import FamilySpec, build, closed_form_spectrum, family_specs
+from lapspec.realize import DenseGraph, Graph6Error, graph6_encode, realize
 from lapspec.scan import (
     CERTIFIED_HIT,
     CHUNK_SIZE,
@@ -26,8 +26,9 @@ from lapspec.scan import (
     scan_g6,
 )
 
-# The package re-exports the function ``scan``, which hides the module of that name.
+# The package re-exports functions named ``scan`` and ``realize``, which hide the modules.
 scan_module = importlib.import_module("lapspec.scan")
+realize_module = importlib.import_module("lapspec.realize")
 
 
 def g6(expr_text):
@@ -57,6 +58,13 @@ class TestScanOne:
         assert rec.verdict == MISS
         assert rec.certificate is None
         assert rec.numeric_le == pytest.approx(4.0, abs=1e-9)
+
+    def test_integral_hit_off_the_exact_target_is_not_certified(self):
+        # C4 has spectrum (0, 2, 2, 4) and LE 4 against the target 6: a loose
+        # tolerance makes it a numeric hit, but its exact LE is not 2n - 2.
+        rec = scan_g6(1, FOUR_CYCLE, tol=3)
+        assert rec.verdict == NUMERIC_HIT
+        assert rec.certificate is None
 
     def test_single_vertex_is_certified(self):
         rec = scan_g6(1, "@")
@@ -303,6 +311,39 @@ class TestDeskScale:
         lines = [graph6_encode(realize(build(member))) for member in family_specs(1)]
         records = list(scan(lines))
         assert all(r.verdict == CERTIFIED_HIT for r in records)
+
+
+PAPER_HITS = (FamilySpec("Omega2", 9), FamilySpec("Gir", 11, 7), FamilySpec("G13", 13))
+PAPER_MISSES = (FamilySpec("G24", 10), FamilySpec("G34", 12))
+
+
+def paper_order_lines():
+    """Family members on 40..56 vertices with their vertex labels permuted, seeded."""
+    rng = np.random.default_rng(13)
+    lines = []
+    for spec in PAPER_HITS + PAPER_MISSES:
+        adj = realize(build(spec)).adj
+        perm = rng.permutation(len(adj))
+        lines.append(graph6_encode(DenseGraph(adj[np.ix_(perm, perm)])))
+    return lines
+
+
+class TestPaperOrders:
+    """The paper's members at n = 4r + 4 certify; G24 and G34 miss the target."""
+
+    def test_hits_certify_their_closed_form(self):
+        records = list(scan(paper_order_lines()))
+        assert [r.n for r in records] == [4 * spec.r + 4 for spec in PAPER_HITS + PAPER_MISSES]
+        for rec, spec in zip(records, PAPER_HITS):
+            assert rec.verdict == CERTIFIED_HIT
+            assert rec.certificate == tuple(closed_form_spectrum(spec).expanded())
+        assert [r.verdict for r in records[len(PAPER_HITS):]] == [MISS] * len(PAPER_MISSES)
+
+    def test_python_int_certifier_gives_equal_records(self, monkeypatch):
+        lines = paper_order_lines()
+        expected = list(scan(lines))
+        monkeypatch.setattr(realize_module, "_INT64_PROOF_LIMIT", 0)
+        assert list(scan(lines)) == expected
 
 
 class TestWriters:
