@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -69,11 +68,6 @@ def positive_tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The top-level parser and its ``scan`` subparser."""
     parser = argparse.ArgumentParser(
         prog="lapspec",
         description="Exact Laplacian spectra and L-borderenergetic checks for graph expressions.",
@@ -101,28 +95,16 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_scan = sub.add_parser("scan", help="scan a graph6 file for L-borderenergetic graphs")
     p_scan.add_argument("file", help="graph6 input, one record per line")
     p_scan.add_argument("--tol", type=positive_tolerance, default=DEFAULT_TOL, help="numeric hit tolerance")
-    p_scan.add_argument(
-        "--jobs", type=positive_int, default=_default_jobs(), help="worker processes (default $LAPSPEC_JOBS or 1)"
-    )
+    jobs = os.environ.get("LAPSPEC_JOBS") or "1"  # argparse applies ``type`` to a string default
+    p_scan.add_argument("--jobs", type=positive_int, default=jobs, help="worker processes (default $LAPSPEC_JOBS or 1)")
     p_scan.add_argument("--json", metavar="OUT.JSONL", default=None, help="also write records as JSON lines")
     p_scan.add_argument("--csv", metavar="OUT.CSV", default=None, help="also write records as CSV")
 
-    return parser, p_scan
-
-
-def _default_jobs() -> str:
-    # argparse applies ``type`` to a string default, so a bad value is a usage error.
-    return os.environ.get("LAPSPEC_JOBS") or "1"
-
-
-# Built once per process: building costs far more than parsing one argv.
-_parsers = functools.cache(_build_parsers)
+    return parser
 
 
 def config_from_argv(argv: list[str] | None) -> CommandConfig:
-    parser, scan_parser = _parsers()
-    scan_parser.set_defaults(jobs=_default_jobs())  # read $LAPSPEC_JOBS on every call
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.subcommand == "eval":
         return CommandConfig("eval", exprs=(args.expr,), as_json=args.json)
     if args.subcommand == "spectrum":
