@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .energy import energy_report, is_cospectral
@@ -32,23 +31,7 @@ from .realize import Graph6Error
 from .scan import CERTIFIED_HIT, CSV_HEADER, DEFAULT_TOL, MISS, scan
 from .spectrum import spectrum_of
 
-__all__ = ["CommandConfig", "build_parser", "run", "main"]
-
-
-@dataclass
-class CommandConfig:
-    """Validated flags for one invocation."""
-
-    subcommand: str
-    exprs: tuple[str, ...] = ()
-    family_id: str = "all"
-    r_max: int = 1
-    input_path: str | None = None
-    as_json: bool = False
-    jsonl_path: str | None = None
-    csv_path: str | None = None
-    tol: float = DEFAULT_TOL
-    jobs: int = 1
+__all__ = ["build_parser", "main"]
 
 
 def positive_int(text: str) -> int:
@@ -68,6 +51,7 @@ def positive_tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; each subcommand sets ``handler``, the function ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="lapspec",
         description="Exact Laplacian spectra and L-borderenergetic checks for graph expressions.",
@@ -77,20 +61,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="Laplacian energy report for an expression")
     p_eval.add_argument("expr", help="expression text, e.g. '2K2 * 2K2'")
     p_eval.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    p_eval.set_defaults(handler=_cmd_eval)
 
     p_spec = sub.add_parser("spectrum", help="exact Laplacian spectrum of an expression")
     p_spec.add_argument("expr")
     p_spec.add_argument("--json", action="store_true")
+    p_spec.set_defaults(handler=_cmd_spectrum)
 
     p_fam = sub.add_parser("verify-family", help="verify built-in families against closed forms")
     p_fam.add_argument("--id", default="all", choices=FAMILY_IDS + ("all",), help="family id or 'all'")
     p_fam.add_argument("--r-max", type=positive_int, required=True, help="verify r = 1..R_MAX")
     p_fam.add_argument("--json", action="store_true", help="one JSON object per verdict line")
+    p_fam.set_defaults(handler=_cmd_verify_family)
 
     p_cos = sub.add_parser("cospectral", help="compare the spectra of two expressions")
     p_cos.add_argument("expr1")
     p_cos.add_argument("expr2")
     p_cos.add_argument("--json", action="store_true")
+    p_cos.set_defaults(handler=_cmd_cospectral)
 
     p_scan = sub.add_parser("scan", help="scan a graph6 file for L-borderenergetic graphs")
     p_scan.add_argument("file", help="graph6 input, one record per line")
@@ -99,28 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--jobs", type=positive_int, default=jobs, help="worker processes (default $LAPSPEC_JOBS or 1)")
     p_scan.add_argument("--json", metavar="OUT.JSONL", default=None, help="also write records as JSON lines")
     p_scan.add_argument("--csv", metavar="OUT.CSV", default=None, help="also write records as CSV")
+    p_scan.set_defaults(handler=_cmd_scan)
 
     return parser
-
-
-def config_from_argv(argv: list[str] | None) -> CommandConfig:
-    args = build_parser().parse_args(argv)
-    if args.subcommand == "eval":
-        return CommandConfig("eval", exprs=(args.expr,), as_json=args.json)
-    if args.subcommand == "spectrum":
-        return CommandConfig("spectrum", exprs=(args.expr,), as_json=args.json)
-    if args.subcommand == "verify-family":
-        return CommandConfig("verify-family", family_id=args.id, r_max=args.r_max, as_json=args.json)
-    if args.subcommand == "cospectral":
-        return CommandConfig("cospectral", exprs=(args.expr1, args.expr2), as_json=args.json)
-    return CommandConfig(
-        "scan",
-        input_path=args.file,
-        tol=args.tol,
-        jobs=args.jobs,
-        jsonl_path=args.json,
-        csv_path=args.csv,
-    )
 
 
 def _fmt_rational(x: Fraction) -> str:
@@ -131,10 +100,10 @@ def _fmt_bool(b: bool) -> str:
     return "yes" if b else "no"
 
 
-def _cmd_eval(config: CommandConfig) -> int:
-    expr = parse(config.exprs[0])
+def _cmd_eval(args: argparse.Namespace) -> int:
+    expr = parse(args.expr)
     report = energy_report(spectrum_of(expr))
-    if config.as_json:
+    if args.json:
         print(json.dumps(report.to_json_obj()))
         return 0
     print(f"expression         {render(expr)}")
@@ -148,9 +117,9 @@ def _cmd_eval(config: CommandConfig) -> int:
     return 0
 
 
-def _cmd_spectrum(config: CommandConfig) -> int:
-    s = spectrum_of(parse(config.exprs[0]))
-    if config.as_json:
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    s = spectrum_of(parse(args.expr))
+    if args.json:
         print(json.dumps(s.to_json_obj()))
         return 0
     print(f"order {s.n}")
@@ -160,19 +129,19 @@ def _cmd_spectrum(config: CommandConfig) -> int:
     return 0
 
 
-def _cmd_verify_family(config: CommandConfig) -> int:
-    ids = FAMILY_IDS if config.family_id == "all" else (config.family_id,)
+def _cmd_verify_family(args: argparse.Namespace) -> int:
+    ids = FAMILY_IDS if args.id == "all" else (args.id,)
     all_passed = True
-    if not config.as_json:
+    if not args.json:
         print(
             f"{'id':<8} {'r':>4} {'i':>4} {'order':>6} {'match':>6} "
             f"{'le':>20} {'target':>7} {'le_ok':>6} {'noncosp':>8} status"
         )
-    for r in range(1, config.r_max + 1):
+    for r in range(1, args.r_max + 1):
         for spec in family_specs(r, ids):
             verdict = verify(spec)
             all_passed = all_passed and verdict.passed
-            if config.as_json:
+            if args.json:
                 print(json.dumps(verdict.to_json_obj()))
             else:
                 i_text = "-" if spec.i is None else str(spec.i)
@@ -186,26 +155,26 @@ def _cmd_verify_family(config: CommandConfig) -> int:
     return 0 if all_passed else 1
 
 
-def _cmd_cospectral(config: CommandConfig) -> int:
-    s1 = spectrum_of(parse(config.exprs[0]))
-    s2 = spectrum_of(parse(config.exprs[1]))
+def _cmd_cospectral(args: argparse.Namespace) -> int:
+    s1 = spectrum_of(parse(args.expr1))
+    s2 = spectrum_of(parse(args.expr2))
     same = is_cospectral(s1, s2)
-    if config.as_json:
+    if args.json:
         print(json.dumps({"cospectral": same}))
     else:
         print("cospectral" if same else "not cospectral")
     return 0
 
 
-def _cmd_scan(config: CommandConfig) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     def report_error(lineno: int, message: str) -> None:
         print(f"line {lineno}: {message}", file=sys.stderr)
 
     with ExitStack() as stack:
         # A non-ASCII byte is kept as a lone surrogate, so the decoder rejects
         # only the line that holds it.
-        fh = stack.enter_context(open(config.input_path, "r", encoding="ascii", errors="surrogateescape"))
-        in_use = [config.input_path]
+        fh = stack.enter_context(open(args.file, "r", encoding="ascii", errors="surrogateescape"))
+        in_use = [args.file]
 
         def open_output(path: str, **kwargs):
             # Records are written while the input is read, so no file may be opened twice.
@@ -214,14 +183,14 @@ def _cmd_scan(config: CommandConfig) -> int:
             in_use.append(path)
             return stack.enter_context(open(path, "w", encoding="ascii", **kwargs))
 
-        jsonl = open_output(config.jsonl_path) if config.jsonl_path else None
-        rows = csv.writer(open_output(config.csv_path, newline="")) if config.csv_path else None
+        jsonl = open_output(args.json) if args.json else None
+        rows = csv.writer(open_output(args.csv, newline="")) if args.csv else None
         if rows:
             rows.writerow(CSV_HEADER)
         # Number lines as read().splitlines() would: it also breaks at \v, \f and \x1c-\x1e.
         lines = (line for physical in fh for line in physical.splitlines())
         count = hits = certified = 0
-        for rec in scan(lines, tol=config.tol, jobs=config.jobs, on_error=report_error):
+        for rec in scan(lines, tol=args.tol, jobs=args.jobs, on_error=report_error):
             print(f"{rec.index:>8} {rec.g6:<24} {rec.n:>4} {rec.numeric_le:>16.9f} {rec.verdict}")
             if jsonl:
                 jsonl.write(json.dumps(rec.to_json_obj()) + "\n")
@@ -234,24 +203,11 @@ def _cmd_scan(config: CommandConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "spectrum": _cmd_spectrum,
-    "verify-family": _cmd_verify_family,
-    "cospectral": _cmd_cospectral,
-    "scan": _cmd_scan,
-}
-
-
-def run(config: CommandConfig) -> int:
-    """Execute one validated invocation; returns the exit status."""
-    handler = _HANDLERS[config.subcommand]
+def main(argv: list[str] | None = None) -> int:
+    """Run one invocation; returns the exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        return handler(config)
+        return args.handler(args)
     except (ParseError, Graph6Error, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run(config_from_argv(argv))

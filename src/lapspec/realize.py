@@ -200,18 +200,14 @@ def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    cand = []
-    for k in candidate:
-        ki = int(k)
-        if ki != k:
-            raise ValueError("candidate eigenvalues must be integers")
-        cand.append(ki)
+    cand = _exact_ints(list(candidate))
+    if cand is None:
+        raise ValueError("candidate eigenvalues must be integers")
     n = a.shape[0]
     if len(cand) != n:
         raise ValueError(f"candidate multiset has {len(cand)} values for order {n}")
-    rows = a.tolist()
-    ints = [[int(x) for x in row] for row in rows]
-    if ints != rows:
+    ints = [_exact_ints(row) for row in a.tolist()]
+    if None in ints:
         raise ValueError("matrix entries must be integers")
     if list(map(list, zip(*ints))) != ints:
         raise ValueError("matrix must be exactly symmetric")
@@ -232,6 +228,15 @@ def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
         if power.trace() != sum(mult * k**j for k, mult in multiplicity.items()):
             return False
     return True
+
+
+def _exact_ints(values: list) -> list[int] | None:
+    """``values`` as Python ints if each one equals an integer, else None."""
+    try:
+        ints = [int(x) for x in values]
+    except (OverflowError, ValueError):  # a float infinity or NaN
+        return None
+    return ints if ints == values else None
 
 
 # --- graph6 codec -----------------------------------------------------------
@@ -288,20 +293,12 @@ def graph6_encode(g: DenseGraph) -> str:
     """Encode a graph as one graph6 record (requires n <= 62)."""
     if g.n > 62:
         raise Graph6Error("graph6 single-byte order encoding supports n <= 62 only")
-    out = [chr(63 + g.n)]
-    value = 0
-    filled = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            value = (value << 1) | int(g.adj[i, j])
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + value))
-                value = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (value << (6 - filled))))
-    return "".join(out)
+    upper, _ = _graph6_positions(g.n)
+    bits = np.zeros(-(-upper.size // 6) * 6, dtype=np.uint8)  # zero-padded to whole 6-bit groups
+    bits[: upper.size] = g.adj.ravel()[upper]
+    # packbits fills each 8-bit byte from the top, so a 6-bit group sits 2 bits up.
+    values = np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2
+    return chr(63 + g.n) + (values + 63).tobytes().decode("ascii")
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import lapspec.families
-from lapspec.cli import CommandConfig, config_from_argv, main, run
+from lapspec.cli import build_parser, main
 from lapspec.expr import MAX_NESTING, parse
 from lapspec.realize import graph6_encode, realize
 from lapspec.spectrum import Spectrum
@@ -238,23 +238,18 @@ class TestScanCommand:
 class TestConfig:
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("LAPSPEC_JOBS", "4")
-        assert config_from_argv(["scan", "in.g6"]).jobs == 4
+        assert build_parser().parse_args(["scan", "in.g6"]).jobs == 4
         monkeypatch.setenv("LAPSPEC_JOBS", "")
-        assert config_from_argv(["scan", "in.g6"]).jobs == 1
+        assert build_parser().parse_args(["scan", "in.g6"]).jobs == 1
         monkeypatch.delenv("LAPSPEC_JOBS")
-        assert config_from_argv(["scan", "in.g6"]).jobs == 1
+        assert build_parser().parse_args(["scan", "in.g6"]).jobs == 1
         monkeypatch.setenv("LAPSPEC_JOBS", "junk")
-        assert config_from_argv(["scan", "in.g6", "--jobs", "2"]).jobs == 2
+        assert build_parser().parse_args(["scan", "in.g6", "--jobs", "2"]).jobs == 2
         with pytest.raises(SystemExit) as excinfo:
-            config_from_argv(["scan", "in.g6"])
+            build_parser().parse_args(["scan", "in.g6"])
         assert excinfo.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
-
-    def test_run_accepts_explicit_config(self, capsys):
-        rc = run(CommandConfig("eval", exprs=("K3",), as_json=True))
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 3

@@ -248,6 +248,16 @@ class TestCertify:
         with pytest.raises(ValueError, match="integers"):
             certify_integer_spectrum([[0.5, 0], [0, 0.5]], [0, 1])
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "where, message",
+        [("matrix", "matrix entries must be integers"), ("candidate", "candidate eigenvalues must be integers")],
+    )
+    def test_rejects_non_finite_values(self, where, message, value):
+        matrix, candidate = ([[value]], [0]) if where == "matrix" else ([[0]], [value])
+        with pytest.raises(ValueError, match=message):
+            certify_integer_spectrum(matrix, candidate)
+
     @pytest.mark.parametrize("family_id", ["Omega1", "G13", "G34"])
     def test_family_member_at_r13(self, family_id):
         member = FamilySpec(family_id, 13)
@@ -312,8 +322,8 @@ class TestGraph6:
 
     def test_cross_check_against_networkx(self):
         rng = random.Random(31)
-        for _ in range(100):
-            g = helpers.random_graph(rng, rng.randint(1, 13))
+        for n in [*range(63)] * 2:  # every single-byte order, twice
+            g = helpers.random_graph(rng, n)
             line = graph6_encode(g)
             reference = networkx.to_graph6_bytes(
                 networkx.from_numpy_array(g.adj), header=False
