@@ -25,6 +25,8 @@ def main() -> int:
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     args = parser.parse_args()
 
+    if args.count < 0:
+        parser.error("--count must be at least 0")
     if not 1 <= args.max_n <= 62:
         parser.error("--max-n must be in 1..62")
 

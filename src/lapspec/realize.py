@@ -4,13 +4,18 @@ spectrum certificate, and the graph6 codec.
 These routes are deliberately independent of the spectrum calculus so they
 can cross-check it: numeric eigenvalues of the realized Laplacian come from
 LAPACK, and an integer eigenvalue multiset can be certified exactly from
-the minimal polynomial and power traces of the matrix in integer arithmetic.
+the minimal polynomial and power traces of the matrix.  The certificate's
+arithmetic is exact: float64 through BLAS while a bound computed beforehand
+keeps every intermediate value an integer below 2^53, else int64 or Python
+ints.  A stack of matrices of one order is certified, like it is solved,
+in one call.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -175,11 +180,14 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
 
 # --- exact spectrum certificate ---------------------------------------------
 
-# The certifier runs in int64 only while its overflow bound stays below this.
+# The proof runs in float64 while its bound stays below the first limit,
+# where every integer is exact, in int64 below the second, and on Python
+# ints beyond.
+_FLOAT64_PROOF_LIMIT = 2**53
 _INT64_PROOF_LIMIT = 2**62
 
 
-def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
+def certify_integer_spectrum(matrix, candidate) -> bool | np.ndarray:
     """Whether the candidate integer multiset is exactly the spectrum of ``matrix``.
 
     The matrix must be exactly symmetric with integer entries, so it is
@@ -189,54 +197,125 @@ def certify_integer_spectrum(matrix, candidate: Sequence[int]) -> bool:
     ``tr(M^j) = sum(m_k * k^j)`` for ``j = 1 .. |S| - 1`` (a Vandermonde
     system on distinct nodes then fixes the multiplicities).
 
-    Both checks run in int64 when ``(||M||_inf + max|k|)^|S| * n < 2^62``,
-    where ``||M||_inf`` is the largest absolute row sum.  That norm is
-    submultiplicative, so no partial sum of a product, power or trace can
-    then reach the int64 limit.  The norm and the bound are computed in
-    Python ints, so huge entries cannot wrap while they are checked.
-    Otherwise both checks run on Python ints.  Either way a wrong candidate
-    is rejected, never silently accepted.
+    Accepts one ``(n, n)`` matrix and one candidate, giving a bool, or a
+    ``(k, n, n)`` stack and one candidate per matrix, proved together and
+    giving a ``(k,)`` bool array.  In a stack every S is padded to the
+    widest one, w values, by repeating one of its values: the product then
+    vanishes exactly when it did, and the extra traces hold for any true
+    spectrum.
+
+    With k_1 .. k_w those values and ``||.||`` the largest absolute row sum,
+    which is submultiplicative, each matrix has the bound
+    ``B = n * max(||M||, max|k|, max_t prod_{s<=t} ||M - k_s I||, ||M||^(w-1))``,
+    computed exactly.  No entry, factor, partial sum of a product or power,
+    or trace can exceed it, whatever the summation order.  So the proof runs
+    in float64 through BLAS when ``B < 2^53``, in int64 when ``B < 2^62``,
+    and on Python ints otherwise; the right-hand sides of the traces are
+    Python ints.  Either way a wrong candidate is rejected, never silently
+    accepted.
     """
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    cand = _exact_ints(list(candidate))
-    if cand is None:
+    n = a.shape[-1]
+    cands = [_exact_ints(list(c)) for c in (candidate if a.ndim == 3 else [candidate])]
+    if None in cands:
         raise ValueError("candidate eigenvalues must be integers")
-    n = a.shape[0]
-    if len(cand) != n:
-        raise ValueError(f"candidate multiset has {len(cand)} values for order {n}")
-    ints = [_exact_ints(row) for row in a.tolist()]
-    if None in ints:
-        raise ValueError("matrix entries must be integers")
-    if list(map(list, zip(*ints))) != ints:
+    for cand in cands:
+        if len(cand) != n:
+            raise ValueError(f"candidate multiset has {len(cand)} values for order {n}")
+    stack = a.reshape(-1, n, n)
+    if len(cands) != len(stack):
+        raise ValueError(f"{len(cands)} candidates for {len(stack)} matrices")
+    m = _exact_entries(stack)
+    if not np.array_equal(m, np.swapaxes(m, 1, 2)):
         raise ValueError("matrix must be exactly symmetric")
-    multiplicity = Counter(cand)
-    norm = max((sum(map(abs, row)) for row in ints), default=0)
-    bound = (norm + max(map(abs, multiplicity), default=0)) ** len(multiplicity) * n
-    dtype = np.int64 if bound < _INT64_PROOF_LIMIT else object
-    m = np.array(ints, dtype=dtype).reshape(n, n)
-    eye = np.identity(n, dtype=dtype)
-    product = eye
-    for k in multiplicity:
-        product = product @ (m - k * eye)
-    if (product != 0).any():
-        return False
-    power = eye
-    for j in range(1, len(multiplicity)):
-        power = power @ m
-        if power.trace() != sum(mult * k**j for k, mult in multiplicity.items()):
-            return False
-    return True
+    proved = _prove(m, [Counter(cand) for cand in cands])
+    return proved if a.ndim == 3 else bool(proved[0])
 
 
 def _exact_ints(values: list) -> list[int] | None:
     """``values`` as Python ints if each one equals an integer, else None."""
     try:
         ints = [int(x) for x in values]
-    except (OverflowError, ValueError):  # a float infinity or NaN
+    except (OverflowError, TypeError, ValueError):  # an infinity, NaN, None or complex value
         return None
     return ints if ints == values else None
+
+
+def _exact_entries(a: np.ndarray) -> np.ndarray:
+    """The entries of a stack of integer matrices, exactly.
+
+    int64 when every absolute row sum is below 2^53, else Python ints in an
+    object array; raises ``ValueError`` on an entry that is not an integer.
+    """
+    if a.dtype.kind == "f" and not (np.isfinite(a).all() and (np.trunc(a) == a).all()):
+        raise ValueError("matrix entries must be integers")
+    if a.dtype.kind in "biuf":
+        largest = max(int(a.max()), -int(a.min())) if a.size else 0
+        if largest * a.shape[-1] < _FLOAT64_PROOF_LIMIT:
+            return a.astype(np.int64)
+    ints = _exact_ints(a.ravel().tolist())
+    if ints is None:
+        raise ValueError("matrix entries must be integers")
+    return np.array(ints, dtype=object).reshape(a.shape)
+
+
+def _proof_bounds(m: np.ndarray, values: list[list[int]]) -> list[int]:
+    """The certifier's bound B for each matrix of an exact stack and its padded values."""
+    n = m.shape[1]
+    top = [max(map(abs, row)) for row in values]
+    # Norms below 2^53 plus values below 2^62 cannot overflow int64.
+    dtype = np.int64 if m.dtype == np.int64 and max(top) < _INT64_PROOF_LIMIT else object
+    diag = np.diagonal(m, axis1=1, axis2=2).astype(dtype)
+    off = np.abs(m).sum(axis=2).astype(dtype) - np.abs(diag)
+    ks = np.array(values, dtype=dtype)
+    factors = (np.abs(diag[:, None, :] - ks[:, :, None]) + off[:, None, :]).max(axis=2)
+    norms = (np.abs(diag) + off).max(axis=1)
+    bounds = []
+    for norm, row, k_max in zip(norms.tolist(), factors.tolist(), top):
+        prefix, chain = 1, 0
+        for f in row:
+            prefix *= f
+            chain = max(chain, prefix)
+        bounds.append(n * max(norm, k_max, chain, norm ** (len(row) - 1)))
+    return bounds
+
+
+def _prove(m: np.ndarray, multiplicities: list[Counter]) -> np.ndarray:
+    """The certifier's proof for each matrix of an exact stack and its candidate."""
+    count, n = m.shape[:2]
+    proved = np.ones(count, dtype=bool)
+    if count == 0 or n == 0:  # the empty matrix has the empty spectrum
+        return proved
+    w = max(map(len, multiplicities))
+    values = [list(mult) + [next(iter(mult))] * (w - len(mult)) for mult in multiplicities]
+    routes = [
+        np.float64 if b < _FLOAT64_PROOF_LIMIT else np.int64 if b < _INT64_PROOF_LIMIT else object
+        for b in _proof_bounds(m, values)
+    ]
+    diag = np.arange(n)
+    for dtype in dict.fromkeys(routes):
+        members = [i for i, route in enumerate(routes) if route is dtype]
+        x = m[members].astype(dtype)
+        ks = np.array([values[i] for i in members], dtype=dtype)
+        product = None
+        for s in range(w):
+            factor = x.copy()
+            factor[:, diag, diag] -= ks[:, s, None]
+            product = factor if product is None else product @ factor
+        vanishes = ~(product != 0).any(axis=(1, 2))
+        traces, power = [], x
+        for j in range(1, w):
+            if j > 1:
+                power = power @ x
+            traces.append(np.trace(power, axis1=1, axis2=2).tolist())
+        for row, i in enumerate(members):
+            mult = multiplicities[i]
+            proved[i] = vanishes[row] and all(
+                t[row] == sum(c * k**j for k, c in mult.items()) for j, t in enumerate(traces, start=1)
+            )
+    return proved
 
 
 # --- graph6 codec -----------------------------------------------------------
@@ -281,12 +360,40 @@ def graph6_decode(text: str) -> DenseGraph:
     if values.max(initial=0) > 63:  # bytes below 63 wrap around to large values
         first = int(np.argmax(values > 63))
         raise Graph6Error(f"malformed graph6 byte {payload[first]} (must be 63..126)")
-    bits = np.unpackbits(values[:, None], axis=1)[:, 2:].ravel()[:nbits]
+    return DenseGraph._trusted(_graph6_adjacency(n, values[None])[0])
+
+
+def _graph6_decode_group(records: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Decode records that share their first character, all at once.
+
+    Returns a mask of the records that are well-formed graph6 of the order
+    that character gives, and the ``(k, n, n)`` uint8 adjacency stack of
+    those.  The checks are ``graph6_decode``'s, so the rest are exactly the
+    records it would reject (or strip first); it names each one's fault.
+    """
+    first = records[0][:1]
+    n = ord(first) - 63 if first else -1
+    if not 0 <= n <= 62:
+        return np.zeros(len(records), dtype=bool), np.zeros((0, 0, 0), dtype=np.uint8)
+    size = 1 + (n * (n - 1) // 2 + 5) // 6
+    ok = np.array([len(r) == size and r.isascii() for r in records], dtype=bool)
+    data = "".join(compress(records, ok)).encode("ascii")
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, size)
+    values = rows[:, 1:] - np.uint8(63)
+    good = (rows[:, 0] == ord(first)) & (values <= 63).all(axis=1)  # bytes below 63 wrap around
+    ok[ok] = good
+    return ok, _graph6_adjacency(n, values[good])
+
+
+def _graph6_adjacency(n: int, values: np.ndarray) -> np.ndarray:
+    """The ``(k, n, n)`` uint8 adjacency stack of k rows of 6-bit graph6 payload values."""
+    k = len(values)
+    bits = np.unpackbits(values[:, :, None], axis=2)[:, :, 2:].reshape(k, 6 * values.shape[1])[:, : n * (n - 1) // 2]
     upper, lower = _graph6_positions(n)
-    adj = np.zeros(n * n, dtype=np.uint8)
-    adj[upper] = bits
-    adj[lower] = bits
-    return DenseGraph._trusted(adj.reshape(n, n))
+    adj = np.zeros((k, n * n), dtype=np.uint8)
+    adj[:, upper] = bits
+    adj[:, lower] = bits
+    return adj.reshape(k, n, n)
 
 
 def graph6_encode(g: DenseGraph) -> str:

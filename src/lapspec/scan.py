@@ -1,12 +1,14 @@
 """Stream graph6 records and flag graphs whose Laplacian energy meets the
 complete-graph value ``2n - 2``.
 
-Each record gets a numeric verdict first (LAPACK eigenvalues of the
-realized Laplacian, solved in bounded chunks as one stack per order).  A
-numeric hit whose spectrum rounds to integers with an LE of exactly
-``2n - 2`` is then certified exactly from the minimal polynomial and power
-traces of its Laplacian; only an exact certificate upgrades the verdict, so
-other near-hits stay explicitly labeled ``numeric_hit``.
+Input is read in bounded chunks.  Within a chunk, the records of each order
+are decoded together and get a numeric verdict first (LAPACK eigenvalues of
+their Laplacians, solved as one stack).  The numeric hits whose spectra
+round to integers with an LE of exactly ``2n - 2`` are then certified
+exactly from the minimal polynomial and power traces of their Laplacians,
+all of one order in one call on the same float64 stack; only an exact
+certificate upgrades the verdict, so other near-hits stay explicitly
+labeled ``numeric_hit``.
 """
 
 from __future__ import annotations
@@ -17,17 +19,17 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .realize import (
     Graph6Error,
+    _graph6_decode_group,
     certify_integer_spectrum,
     graph6_decode,
     iter_graph6,
-    laplacian_matrix,
     symmetric_eigenvalues,
 )
 
@@ -163,51 +165,69 @@ def _scan_chunk(chunk: Sequence[tuple[int, str]], tol: float) -> list[ScanRecord
     Returns, position for position, the record's ``ScanRecord`` or the
     message of the ``Graph6Error`` that rejected it (the message, not the
     exception: its traceback would tie this frame and the whole chunk into
-    a reference cycle).  Decoded graphs are grouped by order; each group's
-    Laplacians are solved as one stack and its verdict masks are array
-    operations, so only records that pass them reach the certifier.
+    a reference cycle).  Records are grouped by their first byte, which
+    gives the order, and each group is decoded at once; only a record that
+    fails the group's checks goes through ``graph6_decode``, for its message.
     """
     results: list = [None] * len(chunk)
-    graphs = {}
-    by_order: dict[int, list[int]] = {}
+    by_head: dict[str, list[int]] = {}
     for pos, (_, record) in enumerate(chunk):
-        try:
-            g = graph6_decode(record)
-        except Graph6Error as exc:
-            results[pos] = str(exc)
-            continue
-        graphs[pos] = g
-        by_order.setdefault(g.n, []).append(pos)
-    for n, members in by_order.items():
-        adj = np.stack([graphs[pos].adj for pos in members]).astype(np.float64)
-        degrees = adj.sum(axis=2)
-        lap = -adj
-        diag = np.arange(n)
-        lap[:, diag, diag] = degrees
-        eigs = symmetric_eigenvalues(lap)
-        dbar = degrees.sum(axis=1) / max(n, 1)  # the order-0 graph has average degree 0
-        # fsum is correctly rounded, so the LE does not depend on the batch shape.
-        les = [math.fsum(dev) for dev in np.abs(eigs - dbar[:, None]).tolist()]
-        target = 2 * n - 2
-        hit = np.abs(np.array(les) - target) < tol
-        rounded = np.rint(eigs).astype(np.int64)
-        # Only an integral hit whose LE is exactly 2n - 2 goes to the certifier.
-        # In integers, n * LE = sum |n * mu - 2m|, where 2m is the trace.
-        two_m = degrees.sum(axis=1).astype(np.int64)
-        candidate = (
-            hit
-            & (n > 0)
-            & (np.abs(eigs - rounded) < INTEGER_CANDIDATE_TOL).all(axis=1)
-            & (np.abs(n * rounded - two_m[:, None]).sum(axis=1) == n * target)
-        )
-        rows = zip(members, eigs.tolist(), les, rounded.tolist(), hit.tolist(), candidate.tolist())
-        for pos, row, le, ints, is_hit, is_candidate in rows:
-            lineno, record = chunk[pos]
-            if is_candidate and certify_integer_spectrum(laplacian_matrix(graphs[pos]), ints):
-                results[pos] = ScanRecord(lineno, record, n, tuple(row), le, CERTIFIED_HIT, tuple(sorted(ints)))
-            else:
-                results[pos] = ScanRecord(lineno, record, n, tuple(row), le, NUMERIC_HIT if is_hit else MISS)
+        by_head.setdefault(record[:1], []).append(pos)
+    for members in by_head.values():
+        ok, adj = _graph6_decode_group([chunk[pos][1] for pos in members])
+        if len(adj):
+            _classify_group(chunk, list(compress(members, ok)), adj, tol, results)
+        for pos in compress(members, ~ok):
+            try:
+                g = graph6_decode(chunk[pos][1])
+            except Graph6Error as exc:
+                results[pos] = str(exc)
+            else:  # whitespace around the record, which only the decoder strips
+                _classify_group(chunk, [pos], g.adj[None], tol, results)
     return results
+
+
+def _classify_group(
+    chunk: Sequence[tuple[int, str]], members: list[int], adj: np.ndarray, tol: float, results: list
+) -> None:
+    """Store the ``ScanRecord`` of each member, given their ``(k, n, n)`` adjacency stack.
+
+    The Laplacians are solved as one stack and the verdict masks are array
+    operations, so only records that pass them reach the certifier, which
+    proves all of those in one call on the same Laplacians.
+    """
+    n = adj.shape[1]
+    adj = adj.astype(np.float64)
+    degrees = adj.sum(axis=2)
+    lap = -adj
+    diag = np.arange(n)
+    lap[:, diag, diag] = degrees
+    eigs = symmetric_eigenvalues(lap)
+    dbar = degrees.sum(axis=1) / max(n, 1)  # the order-0 graph has average degree 0
+    # fsum is correctly rounded, so the LE does not depend on the batch shape.
+    les = [math.fsum(dev) for dev in np.abs(eigs - dbar[:, None]).tolist()]
+    target = 2 * n - 2
+    hit = np.abs(np.array(les) - target) < tol
+    rounded = np.rint(eigs).astype(np.int64)
+    # Only an integral hit whose LE is exactly 2n - 2 goes to the certifier.
+    # In integers, n * LE = sum |n * mu - 2m|, where 2m is the trace.
+    two_m = degrees.sum(axis=1).astype(np.int64)
+    candidate = (
+        hit
+        & (n > 0)
+        & (np.abs(eigs - rounded) < INTEGER_CANDIDATE_TOL).all(axis=1)
+        & (np.abs(n * rounded - two_m[:, None]).sum(axis=1) == n * target)
+    )
+    certified = np.zeros(len(members), dtype=bool)
+    if candidate.any():
+        certified[candidate] = certify_integer_spectrum(lap[candidate], rounded[candidate].tolist())
+    rows = zip(members, eigs.tolist(), les, rounded.tolist(), hit.tolist(), certified.tolist())
+    for pos, row, le, ints, is_hit, is_certified in rows:
+        lineno, record = chunk[pos]
+        if is_certified:
+            results[pos] = ScanRecord(lineno, record, n, tuple(row), le, CERTIFIED_HIT, tuple(sorted(ints)))
+        else:
+            results[pos] = ScanRecord(lineno, record, n, tuple(row), le, NUMERIC_HIT if is_hit else MISS)
 
 
 def dedupe_cospectral(records: Iterable[ScanRecord]) -> list[list[ScanRecord]]:

@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from lapspec.expr import Repeat, Complete, edge_count, order, parse
-from lapspec.families import FamilySpec, build, closed_form_spectrum
+from lapspec.families import FamilySpec, build, closed_form_spectrum, family_specs
 from lapspec.realize import (
     DenseGraph,
     Graph6Error,
@@ -258,6 +259,16 @@ class TestCertify:
         with pytest.raises(ValueError, match=message):
             certify_integer_spectrum(matrix, candidate)
 
+    @pytest.mark.parametrize("value", [None, 1j])
+    @pytest.mark.parametrize(
+        "where, message",
+        [("matrix", "matrix entries must be integers"), ("candidate", "candidate eigenvalues must be integers")],
+    )
+    def test_rejects_none_and_complex_values(self, where, message, value):
+        matrix, candidate = ([[value]], [0]) if where == "matrix" else ([[0]], [value])
+        with pytest.raises(ValueError, match=message):
+            certify_integer_spectrum(matrix, candidate)
+
     @pytest.mark.parametrize("family_id", ["Omega1", "G13", "G34"])
     def test_family_member_at_r13(self, family_id):
         member = FamilySpec(family_id, 13)
@@ -277,13 +288,68 @@ class TestCertify:
         assert not certify_integer_spectrum(m, [0, 0, -(2**32)])
         assert certify_integer_spectrum(m, [2**32, -(2**32), -(2**32)])
 
+    def test_float64_rounding_is_ruled_out(self):
+        # In float64, 2^53 + 1 rounds to 2^53, so M - 2^53 I would vanish and
+        # the wrong candidate pass; its per-factor product alone is only 1.
+        m = (2**53 + 1) * np.identity(2, dtype=np.int64)
+        assert not certify_integer_spectrum(m, [2**53, 2**53])
+        assert certify_integer_spectrum(m, [2**53 + 1, 2**53 + 1])
+
     def test_python_ints_prove_beyond_the_int64_bound(self):
-        # (19 + 19)^20 * 20 is far above 2^62, and tr(M^19) alone exceeds int64.
+        # 20 * prod_k max(k, 19 - k) is far above 2^62, and tr(M^19) alone exceeds int64.
         m = np.diag(range(20))
         assert certify_integer_spectrum(m, range(20))
         assert not certify_integer_spectrum(m, [0, 0, *range(2, 20)])
 
-    @pytest.mark.parametrize("path", ["int64", "object"])
+    def test_int64_proves_between_the_float64_and_int64_bounds(self):
+        member = FamilySpec("Gir", 40, 80)
+        lap = laplacian_matrix(realize(build(member)))
+        closed = [int(v) for v in closed_form_spectrum(member).expanded()]
+        assert 2**53 <= realize_module._proof_bounds(lap[None], [list(Counter(closed))])[0] < 2**62
+        assert certify_integer_spectrum(lap, closed)
+        wrong = list(closed)
+        wrong[1] += 1
+        wrong[-2] -= 1
+        assert not certify_integer_spectrum(lap, wrong)
+
+    def test_stack_agrees_with_one_matrix_at_a_time(self):
+        laps, cands = [], []
+        for text in ("K8", "K4 + K4", "2K2 * 2K2", "K1 * (3K1 + K4)", "~(K3 + K5)"):
+            lap = laplacian_matrix(realize(parse(text)))
+            closed = list(spectrum_of(parse(text)).expanded())
+            shifted = list(closed)
+            shifted[0] += 1
+            shifted[-1] -= 1
+            laps += [lap, lap]
+            cands += [closed, shifted]
+        # Beyond the float64 bound, with a single distinct value.
+        laps.append((2**53 + 1) * np.identity(8, dtype=np.int64))
+        cands.append([2**53 + 1] * 8)
+        assert len({len(set(c)) for c in cands}) > 2  # several |S|, so the stack pads them
+        one_at_a_time = [certify_integer_spectrum(lap, cand) for lap, cand in zip(laps, cands)]
+        assert one_at_a_time == [True, False] * 5 + [True]
+        stacked = certify_integer_spectrum(np.stack(laps), cands)
+        assert stacked.dtype == bool and stacked.tolist() == one_at_a_time
+        floats = certify_integer_spectrum(np.stack(laps[:-1]).astype(np.float64), cands[:-1])
+        assert floats.tolist() == one_at_a_time[:-1]
+        with pytest.raises(ValueError, match="2 candidates for 3 matrices"):
+            certify_integer_spectrum(np.stack(laps[:3]), cands[:2])
+
+    def test_family_members_up_to_n62_are_proved_in_float64(self):
+        # For a Laplacian, ||L - kI|| = max_i(|d_i - k| + d_i) and ||L|| = 2 d_max.
+        for member in (m for r in range(1, 15) for m in family_specs(r)):
+            lap = laplacian_matrix(realize(build(member)))
+            values = list(Counter(int(v) for v in closed_form_spectrum(member).expanded()))
+            degrees = np.diagonal(lap).tolist()
+            prefix, chain = 1, 0
+            for k in values:
+                prefix *= max(abs(d - k) + d for d in degrees)
+                chain = max(chain, prefix)
+            bound = lap.shape[0] * max(chain, (2 * max(degrees)) ** (len(values) - 1))
+            assert realize_module._proof_bounds(lap[None], [values]) == [bound]
+            assert bound < realize_module._FLOAT64_PROOF_LIMIT
+
+    @pytest.mark.parametrize("path", ["float64", "object"])
     @given(_graphs_up_to_12(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_charpoly_oracle(self, path, g, data):
@@ -297,13 +363,14 @@ class TestCertify:
             shifted[i] += 1
             shifted[j] -= 1
             candidates.append(shifted)
-        if path == "int64":
-            # Keep only examples whose every candidate is proved in int64.
-            norm = int(np.abs(lap).sum(axis=1).max(initial=0))
-            assume(all((norm + max(map(abs, c), default=0)) ** len(set(c)) * g.n < 2**62 for c in candidates))
+        if path == "float64":
+            # Keep only examples whose every candidate is proved in float64.
+            bounds = [realize_module._proof_bounds(lap[None], [list(Counter(c))])[0] for c in candidates]
+            assume(all(b < 2**53 for b in bounds))
         oracle = helpers.charpoly_coeffs(lap)
         with pytest.MonkeyPatch.context() as mp:
             if path == "object":
+                mp.setattr(realize_module, "_FLOAT64_PROOF_LIMIT", 0)
                 mp.setattr(realize_module, "_INT64_PROOF_LIMIT", 0)
             for cand in candidates:
                 assert certify_integer_spectrum(lap, cand) == (oracle == helpers.from_roots(cand))
@@ -382,6 +449,36 @@ class TestGraph6:
         except Graph6Error:
             return
         assert g.n == ord(text.strip()[0]) - 63
+
+    @given(
+        st.integers(0, 62),
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3), st.text(max_size=3)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300)
+    def test_group_decode_agrees_with_graph6_decode(self, n, mutations):
+        records = []
+        for seed, kind, text in mutations:
+            record = graph6_encode(helpers.random_graph(random.Random(seed), n))
+            if kind == 1 and len(record) > 1:
+                record = record[:-1]
+            elif kind == 2:
+                record += text
+            elif kind == 3:  # replace one byte after the first
+                i = 1 + seed % len(record)
+                record = record[:i] + text + record[i + 1:]
+            records.append(record)
+        ok, adj = realize_module._graph6_decode_group(records)
+        assert len(adj) == ok.sum()
+        rows = iter(adj)
+        for record, good in zip(records, ok):
+            if good:
+                assert graph6_decode(record) == DenseGraph(next(rows))
+                continue
+            try:
+                graph6_decode(record)
+            except Graph6Error:
+                continue
+            assert record != record.strip()  # only whitespace, which the decoder strips, sets it apart
 
     @given(st.integers(0, 62), st.integers(0, 2**32 - 1))
     @settings(max_examples=100)

@@ -66,6 +66,12 @@ class TestScanOne:
         assert rec.verdict == NUMERIC_HIT
         assert rec.certificate is None
 
+    def test_whitespace_around_the_record_is_stripped(self):
+        rec = scan_g6(1, f" {K4}\t")
+        assert rec.g6 == f" {K4}\t"
+        assert rec.verdict == CERTIFIED_HIT
+        assert rec.certificate == (0, 4, 4, 4)
+
     def test_single_vertex_is_certified(self):
         rec = scan_g6(1, "@")
         assert rec.verdict == CERTIFIED_HIT
@@ -342,6 +348,7 @@ class TestPaperOrders:
     def test_python_int_certifier_gives_equal_records(self, monkeypatch):
         lines = paper_order_lines()
         expected = list(scan(lines))
+        monkeypatch.setattr(realize_module, "_FLOAT64_PROOF_LIMIT", 0)
         monkeypatch.setattr(realize_module, "_INT64_PROOF_LIMIT", 0)
         assert list(scan(lines)) == expected
 

@@ -60,3 +60,9 @@ class TestMakeCorpus:
         assert run_script("make_corpus.py", ["--max-n", "63", "--out", str(out)], monkeypatch) == 2
         assert "--max-n must be in 1..62" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "d.g6"
+        assert run_script("make_corpus.py", ["--count", "-3", "--out", str(out)], monkeypatch) == 2
+        assert "--count must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
