@@ -6,9 +6,9 @@ can cross-check it: numeric eigenvalues of the realized Laplacian come from
 LAPACK, and an integer eigenvalue multiset can be certified exactly from
 the minimal polynomial and power traces of the matrix.  The certificate's
 arithmetic is exact: float64 through BLAS while a bound computed beforehand
-keeps every intermediate value an integer below 2^53, else int64 or Python
-ints.  A stack of matrices of one order is certified, like it is solved,
-in one call.
+keeps every intermediate value an integer below 2^53, else Python ints.
+A stack of matrices of one order is certified, like it is solved, in one
+call.
 """
 
 from __future__ import annotations
@@ -180,11 +180,9 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
 
 # --- exact spectrum certificate ---------------------------------------------
 
-# The proof runs in float64 while its bound stays below the first limit,
-# where every integer is exact, in int64 below the second, and on Python
-# ints beyond.
+# Below this every integer is exact in float64; the proof runs there while
+# its bound stays below it, and on Python ints beyond.
 _FLOAT64_PROOF_LIMIT = 2**53
-_INT64_PROOF_LIMIT = 2**62
 
 
 def certify_integer_spectrum(matrix, candidate) -> bool | np.ndarray:
@@ -209,10 +207,9 @@ def certify_integer_spectrum(matrix, candidate) -> bool | np.ndarray:
     ``B = n * max(||M||, max|k|, max_t prod_{s<=t} ||M - k_s I||, ||M||^(w-1))``,
     computed exactly.  No entry, factor, partial sum of a product or power,
     or trace can exceed it, whatever the summation order.  So the proof runs
-    in float64 through BLAS when ``B < 2^53``, in int64 when ``B < 2^62``,
-    and on Python ints otherwise; the right-hand sides of the traces are
-    Python ints.  Either way a wrong candidate is rejected, never silently
-    accepted.
+    in float64 through BLAS when ``B < 2^53`` and on Python ints otherwise;
+    the right-hand sides of the traces are Python ints.  Either way a wrong
+    candidate is rejected, never silently accepted.
     """
     a = np.asarray(matrix)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -224,7 +221,7 @@ def certify_integer_spectrum(matrix, candidate) -> bool | np.ndarray:
     for cand in cands:
         if len(cand) != n:
             raise ValueError(f"candidate multiset has {len(cand)} values for order {n}")
-    stack = a.reshape(-1, n, n)
+    stack = a if a.ndim == 3 else a[None]
     if len(cands) != len(stack):
         raise ValueError(f"{len(cands)} candidates for {len(stack)} matrices")
     m = _exact_entries(stack)
@@ -246,15 +243,16 @@ def _exact_ints(values: list) -> list[int] | None:
 def _exact_entries(a: np.ndarray) -> np.ndarray:
     """The entries of a stack of integer matrices, exactly.
 
-    int64 when every absolute row sum is below 2^53, else Python ints in an
-    object array; raises ``ValueError`` on an entry that is not an integer.
+    float64 when every absolute row sum is below 2^53, so the row sums are
+    exact too; else Python ints in an object array.  Raises ``ValueError``
+    on an entry that is not an integer.
     """
     if a.dtype.kind == "f" and not (np.isfinite(a).all() and (np.trunc(a) == a).all()):
         raise ValueError("matrix entries must be integers")
     if a.dtype.kind in "biuf":
         largest = max(int(a.max()), -int(a.min())) if a.size else 0
         if largest * a.shape[-1] < _FLOAT64_PROOF_LIMIT:
-            return a.astype(np.int64)
+            return a.astype(np.float64, copy=False)
     ints = _exact_ints(a.ravel().tolist())
     if ints is None:
         raise ValueError("matrix entries must be integers")
@@ -264,21 +262,20 @@ def _exact_entries(a: np.ndarray) -> np.ndarray:
 def _proof_bounds(m: np.ndarray, values: list[list[int]]) -> list[int]:
     """The certifier's bound B for each matrix of an exact stack and its padded values."""
     n = m.shape[1]
-    top = [max(map(abs, row)) for row in values]
-    # Norms below 2^53 plus values below 2^62 cannot overflow int64.
-    dtype = np.int64 if m.dtype == np.int64 and max(top) < _INT64_PROOF_LIMIT else object
-    diag = np.diagonal(m, axis1=1, axis2=2).astype(dtype)
-    off = np.abs(m).sum(axis=2).astype(dtype) - np.abs(diag)
-    ks = np.array(values, dtype=dtype)
-    factors = (np.abs(diag[:, None, :] - ks[:, :, None]) + off[:, None, :]).max(axis=2)
-    norms = (np.abs(diag) + off).max(axis=1)
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    off = np.abs(m).sum(axis=2) - np.abs(diag)
+    # max_i(|d_i - k| + off_i) = max(max_i(d_i + off_i) - k, max_i(off_i - d_i) + k)
+    above = (diag + off).max(axis=1).tolist()
+    below = (off - diag).max(axis=1).tolist()
+    norms = (np.abs(diag) + off).max(axis=1).tolist()
     bounds = []
-    for norm, row, k_max in zip(norms.tolist(), factors.tolist(), top):
+    for norm, hi, lo, row in zip(norms, above, below, values):
+        norm, hi, lo = int(norm), int(hi), int(lo)
         prefix, chain = 1, 0
-        for f in row:
-            prefix *= f
+        for k in row:
+            prefix *= max(hi - k, lo + k)
             chain = max(chain, prefix)
-        bounds.append(n * max(norm, k_max, chain, norm ** (len(row) - 1)))
+        bounds.append(n * max(norm, max(map(abs, row)), chain, norm ** (len(row) - 1)))
     return bounds
 
 
@@ -290,15 +287,16 @@ def _prove(m: np.ndarray, multiplicities: list[Counter]) -> np.ndarray:
         return proved
     w = max(map(len, multiplicities))
     values = [list(mult) + [next(iter(mult))] * (w - len(mult)) for mult in multiplicities]
-    routes = [
-        np.float64 if b < _FLOAT64_PROOF_LIMIT else np.int64 if b < _INT64_PROOF_LIMIT else object
-        for b in _proof_bounds(m, values)
-    ]
+    exact = np.array([b < _FLOAT64_PROOF_LIMIT for b in _proof_bounds(m, values)])
     diag = np.arange(n)
-    for dtype in dict.fromkeys(routes):
-        members = [i for i, route in enumerate(routes) if route is dtype]
-        x = m[members].astype(dtype)
-        ks = np.array([values[i] for i in members], dtype=dtype)
+    for in_float64 in dict.fromkeys(exact.tolist()):
+        members = np.flatnonzero(exact == in_float64)
+        x = m[members]
+        if in_float64:  # exact, as B bounds every entry below 2^53
+            x = x.astype(np.float64, copy=False)
+        elif x.dtype != object:  # integers below 2^53, which int64 and then Python ints keep
+            x = x.astype(np.int64).astype(object)
+        ks = np.array([values[i] for i in members], dtype=x.dtype)
         product = None
         for s in range(w):
             factor = x.copy()
@@ -310,7 +308,7 @@ def _prove(m: np.ndarray, multiplicities: list[Counter]) -> np.ndarray:
             if j > 1:
                 power = power @ x
             traces.append(np.trace(power, axis1=1, axis2=2).tolist())
-        for row, i in enumerate(members):
+        for row, i in enumerate(members.tolist()):
             mult = multiplicities[i]
             proved[i] = vanishes[row] and all(
                 t[row] == sum(c * k**j for k, c in mult.items()) for j, t in enumerate(traces, start=1)
@@ -380,7 +378,7 @@ def _graph6_decode_group(records: Sequence[str]) -> tuple[np.ndarray, np.ndarray
     data = "".join(compress(records, ok)).encode("ascii")
     rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, size)
     values = rows[:, 1:] - np.uint8(63)
-    good = (rows[:, 0] == ord(first)) & (values <= 63).all(axis=1)  # bytes below 63 wrap around
+    good = (values <= 63).all(axis=1)  # bytes below 63 wrap around
     ok[ok] = good
     return ok, _graph6_adjacency(n, values[good])
 

@@ -349,7 +349,6 @@ class TestPaperOrders:
         lines = paper_order_lines()
         expected = list(scan(lines))
         monkeypatch.setattr(realize_module, "_FLOAT64_PROOF_LIMIT", 0)
-        monkeypatch.setattr(realize_module, "_INT64_PROOF_LIMIT", 0)
         assert list(scan(lines)) == expected
 
 
