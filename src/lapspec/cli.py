@@ -190,10 +190,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         # Number lines as read().splitlines() would: it also breaks at \v, \f and \x1c-\x1e.
         lines = (line for physical in fh for line in physical.splitlines())
         count = hits = certified = 0
+        write = sys.stdout.write
         for rec in scan(lines, tol=args.tol, jobs=args.jobs, on_error=report_error):
-            print(f"{rec.index:>8} {rec.g6:<24} {rec.n:>4} {rec.numeric_le:>16.9f} {rec.verdict}")
+            write(f"{rec.index:>8} {rec.g6:<24} {rec.n:>4} {rec.numeric_le:>16.9f} {rec.verdict}\n")
             if jsonl:
-                jsonl.write(json.dumps(rec.to_json_obj()) + "\n")
+                jsonl.write(rec.json_line() + "\n")
             if rows:
                 rows.writerow(rec.csv_row())
             count += 1

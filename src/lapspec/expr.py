@@ -19,7 +19,8 @@ below are ``fold``s, which need no recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from itertools import zip_longest
+from typing import Callable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "GraphExpr",
@@ -57,10 +58,51 @@ class LiteralOverflowError(ParseError):
 
 
 class GraphExpr:
-    """Base class of all expression nodes.  Nodes are immutable values."""
+    """Base class of all expression nodes.  Nodes are immutable values.
+
+    ``==``, ``hash()`` and ``repr()`` walk the whole tree with an explicit
+    stack, so chains of any length compare, hash and print.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(_preorder(self), _preorder(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        # Reversed pre-order meets each node after its children, with the
+        # text of its first child on top of the stack.
+        texts: list[str] = []
+        for cls, *values in reversed(list(_preorder(self))):
+            fields = [
+                f"{name}={texts.pop() if value is _CHILD else repr(value)}"
+                for name, value in zip(cls.__dataclass_fields__, values)
+            ]
+            texts.append(f"{cls.__qualname__}({', '.join(fields)})")
+        return texts[0]
 
 
-@dataclass(frozen=True)
+_CHILD = object()  # stands for a child expression among a node's fields
+
+
+def _preorder(expr: GraphExpr) -> Iterator[tuple]:
+    """``(class, *fields)`` of each node in pre-order, with ``_CHILD`` for each child.
+
+    A tuple shows which of its node's fields are children, so the sequence
+    determines the tree.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        values = [getattr(node, name) for name in node.__dataclass_fields__]
+        yield (node.__class__, *(_CHILD if isinstance(value, GraphExpr) else value for value in values))
+        stack.extend(value for value in reversed(values) if isinstance(value, GraphExpr))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Complete(GraphExpr):
     """Complete graph on ``n`` vertices."""
 
@@ -71,7 +113,7 @@ class Complete(GraphExpr):
             raise ValueError("a complete graph needs at least one vertex")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(GraphExpr):
     """Disjoint union of two graphs."""
 
@@ -79,7 +121,7 @@ class Union(GraphExpr):
     right: GraphExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Join(GraphExpr):
     """Join of two graphs: their union plus all edges across the two sides."""
 
@@ -87,7 +129,7 @@ class Join(GraphExpr):
     right: GraphExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Repeat(GraphExpr):
     """Disjoint union of ``m`` copies of ``inner``."""
 
@@ -99,7 +141,7 @@ class Repeat(GraphExpr):
             raise ValueError("repetition count must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Complement(GraphExpr):
     """Complement of ``inner`` (off-diagonal adjacency flipped)."""
 

@@ -1,18 +1,21 @@
 """Stream graph6 records and flag graphs whose Laplacian energy meets the
 complete-graph value ``2n - 2``.
 
-Input is read in bounded chunks.  Within a chunk, the records of each order
-are decoded together and get a numeric verdict first (LAPACK eigenvalues of
-their Laplacians, solved as one stack).  The numeric hits whose spectra
-round to integers with an LE of exactly ``2n - 2`` are then certified
-exactly from the minimal polynomial and power traces of their Laplacians,
-all of one order in one call on the same float64 stack; only an exact
-certificate upgrades the verdict, so other near-hits stay explicitly
-labeled ``numeric_hit``.
+Input is read in chunks of at most ``CHUNK_SIZE`` records whose matrices
+hold at most ``CHUNK_CELLS`` cells, so small orders are solved in large
+groups and memory stays bounded at any order.  Within a chunk, the records
+of each order are decoded together and get a numeric verdict first (LAPACK
+eigenvalues of their Laplacians, solved as one stack).  The numeric hits
+whose spectra round to integers with an LE of exactly ``2n - 2`` are then
+certified exactly from the minimal polynomial and power traces of their
+Laplacians, all of one order in one call on the same float64 stack; only
+an exact certificate upgrades the verdict, so other near-hits stay
+explicitly labeled ``numeric_hit``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from collections import deque
@@ -20,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -83,6 +87,19 @@ class ScanRecord:
             "certificate": None if self.certificate is None else list(self.certificate),
         }
 
+    def json_line(self) -> str:
+        """``json.dumps(self.to_json_obj())``, built directly from the fields."""
+        spectrum = ", ".join(map(float.__repr__, self.numeric_spectrum))
+        le = float.__repr__(self.numeric_le)
+        if "n" in spectrum or "n" in le:  # nan or inf, which JSON spells NaN and Infinity
+            return json.dumps(self.to_json_obj())
+        certificate = "null" if self.certificate is None else f"[{', '.join(map(int.__repr__, self.certificate))}]"
+        return (
+            f'{{"index": {self.index}, "g6": {encode_basestring_ascii(self.g6)}, "n": {self.n}, '
+            f'"numeric_spectrum": [{spectrum}], "numeric_le": {le}, '
+            f'"verdict": {encode_basestring_ascii(self.verdict)}, "certificate": {certificate}}}'
+        )
+
     def csv_row(self) -> list:
         """The record's row under ``CSV_HEADER``."""
         return [self.index, self.g6, self.n, repr(self.numeric_le), self.verdict]
@@ -107,7 +124,8 @@ def scan(
     Records and errors come in input order, and a record's numbers do not
     depend on how the input was split, so the output is the same at any
     ``jobs``.  Lines are pulled lazily, with at most two chunks per worker
-    in flight, so memory does not grow with the input.
+    in flight, each of at most ``CHUNK_SIZE`` records and ``CHUNK_CELLS``
+    matrix cells, so memory does not grow with the input.
     """
     chunks = _chunks(iter_graph6(lines))
     task = partial(_scan_chunk, tol=tol)
@@ -135,14 +153,33 @@ def scan(
 
 # --- numeric pass, one bounded chunk at a time -------------------------------
 
-# Records per numeric batch.  It bounds the memory of a batch; the results do
-# not depend on it.
-CHUNK_SIZE = 512
+# A chunk closes at ``CHUNK_SIZE`` records, or before the sum of n^2 over its
+# records would pass ``CHUNK_CELLS``: the matrices of a chunk's order groups
+# hold that many cells.  The cell budget is that of 512 records at n = 62, so
+# peak memory is the same at any order while small orders are solved in
+# larger groups.  The results do not depend on either bound.
+CHUNK_SIZE = 4096
+CHUNK_CELLS = 512 * 62 * 62
+
+# Cells of a record's matrix, by its first byte.  A record whose first byte
+# is not an order byte is rejected without building a matrix.
+_CELLS = {chr(63 + n): n * n for n in range(63)}
 
 
 def _chunks(pairs: Iterable[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:
-    it = iter(pairs)
-    while chunk := list(islice(it, CHUNK_SIZE)):
+    chunk: list[tuple[int, str]] = []
+    cells = 0
+    for pair in pairs:
+        size = _CELLS.get(pair[1][:1], 0)
+        if cells + size > CHUNK_CELLS and chunk:
+            yield chunk
+            chunk, cells = [], 0
+        chunk.append(pair)
+        cells += size
+        if len(chunk) == CHUNK_SIZE:
+            yield chunk
+            chunk, cells = [], 0
+    if chunk:
         yield chunk
 
 
@@ -221,11 +258,11 @@ def _classify_group(
     certified = np.zeros(len(members), dtype=bool)
     if candidate.any():
         certified[candidate] = certify_integer_spectrum(lap[candidate], rounded[candidate].tolist())
-    rows = zip(members, eigs.tolist(), les, rounded.tolist(), hit.tolist(), certified.tolist())
-    for pos, row, le, ints, is_hit, is_certified in rows:
+    certificates = iter(np.sort(rounded[certified], axis=1).tolist())
+    for pos, row, le, is_hit, is_certified in zip(members, eigs.tolist(), les, hit.tolist(), certified.tolist()):
         lineno, record = chunk[pos]
         if is_certified:
-            results[pos] = ScanRecord(lineno, record, n, tuple(row), le, CERTIFIED_HIT, tuple(sorted(ints)))
+            results[pos] = ScanRecord(lineno, record, n, tuple(row), le, CERTIFIED_HIT, tuple(next(certificates)))
         else:
             results[pos] = ScanRecord(lineno, record, n, tuple(row), le, NUMERIC_HIT if is_hit else MISS)
 

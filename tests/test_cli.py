@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -233,6 +234,43 @@ class TestScanCommand:
         path.write_text("\n".join([g6("K4")] * 12) + "\n")
         assert main(["scan", str(path), "--jobs", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 12
+
+
+# sha256 of stdout, stderr, JSONL and CSV of ``lapspec scan --json --csv``.
+SCAN_OUTPUT_SHA256 = {
+    "g6_corpus": {
+        "stdout": "65d3c2ca84d3c224da9afaa0873011c69ed8277de4f1e39ad7d2534bdf377da3",
+        "stderr": "62d0d262d34c4d886f1899ec51bc1c442d2f7b0f30c0b88c778dc63864c56eb3",
+        "jsonl": "cb121fd7c8ff6c6669d07e842b604ebbf735a0243ac6782fb5725c8cab98a48e",
+        "csv": "12b088392471c98204837008452b71e43170b15693fb47e9348f26211c2c65e3",
+    },
+    "mixed_corpus": {
+        "stdout": "f0dda8c63cd14bcaed7b48f8b82e2fa6b177beaf4aa533947b49a82ad4a27938",
+        "stderr": "d3cb3a016445f7204f27656c4532dc9c9ec375ab9ac6db701f64beb8738a148f",
+        "jsonl": "f163f158a3168ad9be5ba27254bfee5c8bf3343ea027bd7cf54dfb4337568bf9",
+        "csv": "edf597592aa5b34e8f659feabb092c62a4cee39cf1d1947df3faad91ff68f1c1",
+    },
+}
+
+
+class TestScanOutputGate:
+    """Every byte the scan writes is pinned, at one and two workers."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("corpus", sorted(SCAN_OUTPUT_SHA256))
+    def test_outputs_are_pinned(self, corpus, jobs, request, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        path.write_text("\n".join(request.getfixturevalue(corpus)) + "\n", encoding="ascii")
+        jsonl, csv_out = tmp_path / "out.jsonl", tmp_path / "out.csv"
+        assert main(["scan", str(path), "--jobs", str(jobs), "--json", str(jsonl), "--csv", str(csv_out)]) == 0
+        captured = capsys.readouterr()
+        outputs = {
+            "stdout": captured.out.encode("ascii"),
+            "stderr": captured.err.encode("ascii"),
+            "jsonl": jsonl.read_bytes(),
+            "csv": csv_out.read_bytes(),
+        }
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == SCAN_OUTPUT_SHA256[corpus]
 
 
 class TestConfig:

@@ -193,3 +193,51 @@ class TestFold:
             walk(Union(K1, "K1"))
         with pytest.raises(TypeError, match="not a GraphExpr"):
             walk(None)
+
+
+class TestValueSemantics:
+    """``==``, ``hash()`` and ``repr()`` look at the whole tree, at any depth."""
+
+    def test_equal_trees_are_equal_and_hash_alike(self):
+        a, b = parse(OMEGA1_R2), parse(OMEGA1_R2)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        ["(2K1 + (K1 * 3K1)) * (2K1 + (K1 * 4K1))", "(2K1 + (K1 * 3K1)) + (2K1 + (K1 * 3K1))", "(2K1 + (K1 * 3K1))"],
+    )
+    def test_different_trees_are_unequal(self, other):
+        assert parse(OMEGA1_R2) != parse(other)
+
+    def test_other_classes_are_unequal(self):
+        assert Union(K1, K1) != Join(K1, K1)
+        assert Complete(1) != 1
+        assert Complement(K1) != Repeat(1, K1)
+        # A scalar in a child's place is a different tree, not the same fields in another order.
+        assert Union(K1, 2) != Union(2, K1)
+
+    def test_repr_reads_as_a_constructor_call(self):
+        assert repr(parse("2(K1 + ~K2) * K3")) == (
+            "Join(left=Repeat(m=2, inner=Union(left=Complete(n=1), right=Complement(inner=Complete(n=2)))), "
+            "right=Complete(n=3))"
+        )
+
+    @given(helpers.expr_strategy())
+    def test_repr_evaluates_back_to_an_equal_tree(self, e):
+        names = {"Complete": Complete, "Union": Union, "Join": Join, "Repeat": Repeat, "Complement": Complement}
+        assert eval(repr(e), names) == e
+
+    @pytest.mark.parametrize("op", ["*", "+"])
+    def test_long_chains_compare_hash_and_print(self, op):
+        text = f" {op} ".join(["K1"] * 2000)
+        e = parse(text)
+        assert e == parse(text)
+        assert e != parse(text + f" {op} K1")
+        assert e != parse(text[: -len("K1")] + "K2")
+        assert hash(e) == hash(parse(text))
+        assert {e: 1}[parse(text)] == 1
+        name = "Join" if op == "*" else "Union"
+        assert repr(e) == f"{name}(left=" * 1999 + "Complete(n=1)" + ", right=Complete(n=1))" * 1999

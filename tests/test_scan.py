@@ -3,19 +3,23 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 import random
 from concurrent.futures import Future
 from contextlib import closing
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import helpers
 from lapspec.expr import parse
 from lapspec.families import FamilySpec, build, closed_form_spectrum, family_specs
-from lapspec.realize import DenseGraph, Graph6Error, graph6_encode, realize
+from lapspec.realize import DenseGraph, Graph6Error, graph6_encode, iter_graph6, realize
 from lapspec.scan import (
     CERTIFIED_HIT,
+    CHUNK_CELLS,
     CHUNK_SIZE,
     CSV_HEADER,
     MISS,
@@ -80,6 +84,11 @@ class TestScanOne:
     def test_numeric_spectrum_is_ascending(self):
         rec = scan_g6(1, DIAMOND)
         assert list(rec.numeric_spectrum) == sorted(rec.numeric_spectrum)
+
+    def test_certificate_is_sorted_whatever_order_the_solver_returns(self, monkeypatch):
+        monkeypatch.setattr(scan_module, "symmetric_eigenvalues", lambda laps: np.linalg.eigvalsh(laps)[:, ::-1])
+        records = list(scan([K4, DIAMOND, FOUR_CYCLE]))
+        assert [r.certificate for r in records] == [(0, 4, 4, 4), (0, 2, 4, 4), None]
 
 
 class TestScanStream:
@@ -352,6 +361,10 @@ class TestPaperOrders:
         assert list(scan(lines)) == expected
 
 
+# Floats whose JSON text is easy to get wrong.
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 1.5e300, math.nan, math.inf, -math.inf]
+
+
 class TestWriters:
     def test_jsonl(self):
         records = list(scan([K4, FOUR_CYCLE]))
@@ -360,6 +373,23 @@ class TestWriters:
         assert first["verdict"] == CERTIFIED_HIT
         assert first["certificate"] == [0, 4, 4, 4]
         assert second["certificate"] is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        index=st.integers(0, 10**12),
+        g6=st.text() | st.text(st.characters(min_codepoint=63, max_codepoint=126)),
+        n=st.integers(0, 62),
+        spectrum=st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), max_size=12),
+        le=st.floats() | st.sampled_from(EDGE_FLOATS),
+        verdict=st.sampled_from([MISS, NUMERIC_HIT, CERTIFIED_HIT]) | st.text(),
+        certificate=st.none() | st.lists(st.integers() | st.integers(2**63, 2**80), max_size=12).map(tuple),
+    )
+    @example(0, "C\\~", 4, (-0.0, 5e-324, 1e16, 1e-7), 1e16, CERTIFIED_HIT, (0, 2**63 + 1, 2**70))
+    @example(1, "@\udcff", 1, (math.nan,), math.inf, NUMERIC_HIT, None)
+    @example(2, "A_", 2, (-math.inf, 0.0), 2.0, MISS, None)
+    def test_json_line_is_json_dumps(self, index, g6, n, spectrum, le, verdict, certificate):
+        rec = ScanRecord(index, g6, n, tuple(spectrum), le, verdict, certificate)
+        assert rec.json_line() == json.dumps(rec.to_json_obj())
 
     def test_csv(self, tmp_path):
         records = list(scan([K4]))
@@ -403,41 +433,106 @@ class TestNumericGate:
         assert [r.numeric_le for r in got] == pytest.approx([r.numeric_le for r in expected], abs=1e-8)
 
 
-def mixed_lines(count):
-    """Records on 0..62 vertices with a malformed line every 37th, seeded."""
-    rng = random.Random(2024)
-    lines = []
-    for k in range(count):
-        if k % 37 == 36:
-            lines.append("E~!>")
-        else:
-            lines.append(graph6_encode(helpers.random_graph(rng, rng.choice((0, 1, 4, 8, 9, 17, 33, 62)))))
-    return lines
+# (CHUNK_SIZE, CHUNK_CELLS): today's bounds, the 512-record bound that came
+# before the cell budget, and a budget of 20 records at n = 62.
+CHUNK_BOUNDS = [(CHUNK_SIZE, CHUNK_CELLS), (512, 512 * 62 * 62), (CHUNK_SIZE, 20 * 62 * 62)]
 
 
 class TestBatchIndependence:
     """A record's fields, floats included, do not depend on how it was batched."""
 
-    @pytest.mark.parametrize("source", ["g6_corpus", "mixed"])
-    def test_per_line_whole_stream_and_pool_agree(self, source, request, tmp_path):
-        lines = request.getfixturevalue("g6_corpus") if source == "g6_corpus" else mixed_lines(2 * CHUNK_SIZE + 77)
-        assert len(lines) % CHUNK_SIZE
+    @pytest.mark.parametrize("source", ["g6_corpus", "mixed_corpus"], ids=["g6_corpus", "mixed"])
+    def test_per_line_whole_stream_and_pool_agree(self, source, request, tmp_path, monkeypatch):
+        lines = request.getfixturevalue(source)
         path = tmp_path / "in.g6"
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        errors = []
-        streamed = list(scan(lines, on_error=lambda ln, msg: errors.append((ln, msg))))
-        per_line = []
+        per_line, per_line_errors = [], []
         for lineno, line in enumerate(lines, start=1):
             try:
                 per_line.append(scan_g6(lineno, line))
-            except Graph6Error:
-                pass
-        pool_errors = []
-        with open(path, encoding="ascii") as fh:
-            pooled = list(scan(fh, jobs=2, on_error=lambda ln, msg: pool_errors.append((ln, msg))))
-        assert streamed == per_line == pooled
-        assert errors == pool_errors
-        assert len(streamed) + len(errors) == len(lines)
+            except Graph6Error as exc:
+                per_line_errors.append((lineno, str(exc)))
+        assert len(per_line) + len(per_line_errors) == len(lines)
+        for size, cells in CHUNK_BOUNDS:
+            monkeypatch.setattr(scan_module, "CHUNK_SIZE", size)
+            monkeypatch.setattr(scan_module, "CHUNK_CELLS", cells)
+            assert len(list(scan_module._chunks(iter_graph6(lines)))) > 1
+            errors = []
+            streamed = list(scan(lines, on_error=lambda ln, msg: errors.append((ln, msg))))
+            pool_errors = []
+            with open(path, encoding="ascii") as fh:
+                pooled = list(scan(fh, jobs=2, on_error=lambda ln, msg: pool_errors.append((ln, msg))))
+            assert streamed == per_line == pooled
+            assert errors == pool_errors == per_line_errors
+
+
+def cells(record):
+    """The matrix cells of a record, read from its order byte 63..125; 0 for any other."""
+    n = ord(record[0]) - 63 if record else -1
+    return n * n if 0 <= n <= 62 else 0
+
+
+class TestChunks:
+    """A chunk closes at ``CHUNK_SIZE`` records, or before the n^2 of its records would pass ``CHUNK_CELLS``."""
+
+    @staticmethod
+    def sizes(records):
+        return [len(chunk) for chunk in scan_module._chunks(enumerate(records, start=1))]
+
+    def test_the_cell_budget_closes_chunks_of_large_records(self):
+        assert CHUNK_CELLS == 512 * 62 * 62
+        assert self.sizes([g6("K62")] * 600) == [512, 88]
+
+    def test_the_record_cap_closes_chunks_of_small_records(self):
+        assert CHUNK_SIZE == 4096
+        assert self.sizes([K4] * 5000) == [4096, 904]
+
+    def test_bytes_outside_the_order_range_count_no_cells(self):
+        big = g6("K62")
+        # 512 records at n = 62 fill the budget exactly; records that cannot
+        # build a matrix must not close the chunk.
+        junk = ["~" + big[1:], ">" + big[1:], "!", "\x7f", "\udcff", ""]
+        records = [big] * 256 + junk * 50 + [big] * 256
+        assert self.sizes(records) == [len(records)]
+        assert self.sizes(records + [K4]) == [len(records), 1]
+
+    def test_mixed_orders_stay_under_both_caps(self):
+        rng = random.Random(11)
+        kinds = [
+            lambda: K4,
+            lambda: "!",
+            lambda: chr(63 + rng.randint(0, 62)) + "x",
+            lambda: chr(63 + rng.randint(40, 62)),
+        ]
+        records = []
+        for _ in range(40):
+            kind = rng.choice(kinds)
+            records += [kind() for _ in range(rng.randint(1, 2000))]
+        chunks = list(scan_module._chunks(enumerate(records)))
+        assert [pair for chunk in chunks for pair in chunk] == list(enumerate(records))
+        closed_by = set()
+        for chunk, following in zip(chunks, chunks[1:]):
+            total = sum(cells(record) for _, record in chunk)
+            assert len(chunk) <= CHUNK_SIZE and total <= CHUNK_CELLS
+            # A chunk closes only when the next record would pass a cap.
+            assert len(chunk) == CHUNK_SIZE or total + cells(following[0][1]) > CHUNK_CELLS
+            closed_by.add("records" if len(chunk) == CHUNK_SIZE else "cells")
+        assert closed_by == {"records", "cells"}
+        assert len(chunks[-1]) <= CHUNK_SIZE and sum(cells(record) for _, record in chunks[-1]) <= CHUNK_CELLS
+
+    def test_reads_at_most_one_record_ahead(self):
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            for pair in enumerate(itertools.cycle([g6("K62")] * 700 + [K4] * 5000 + ["!"] * 30)):
+                pulled += 1
+                yield pair
+
+        delivered = 0
+        for chunk in itertools.islice(scan_module._chunks(source()), 20):
+            delivered += len(chunk)
+            assert delivered <= pulled <= delivered + 1
 
 
 def test_determinism_repeated_runs():
