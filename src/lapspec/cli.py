@@ -23,12 +23,11 @@ import os
 import sys
 from contextlib import ExitStack
 from fractions import Fraction
+from functools import cache
 
 from .energy import energy_report, is_cospectral
-from .expr import ParseError, parse, render
+from .expr import parse, render
 from .families import FAMILY_IDS, family_specs, verify
-from .realize import Graph6Error
-from .scan import CERTIFIED_HIT, CSV_HEADER, DEFAULT_TOL, MISS, scan
 from .spectrum import spectrum_of
 
 __all__ = ["build_parser", "main"]
@@ -52,6 +51,16 @@ def positive_tolerance(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser; each subcommand sets ``handler``, the function ``main`` calls."""
+    return _new_parser()[0]
+
+
+def _jobs_default() -> str:
+    # A string, so that argparse applies ``type`` to it as to a typed value.
+    return os.environ.get("LAPSPEC_JOBS") or "1"
+
+
+def _new_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """A new parser and its ``scan --jobs`` action."""
     parser = argparse.ArgumentParser(
         prog="lapspec",
         description="Exact Laplacian spectra and L-borderenergetic checks for graph expressions.",
@@ -82,14 +91,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="scan a graph6 file for L-borderenergetic graphs")
     p_scan.add_argument("file", help="graph6 input, one record per line")
-    p_scan.add_argument("--tol", type=positive_tolerance, default=DEFAULT_TOL, help="numeric hit tolerance")
-    jobs = os.environ.get("LAPSPEC_JOBS") or "1"  # argparse applies ``type`` to a string default
-    p_scan.add_argument("--jobs", type=positive_int, default=jobs, help="worker processes (default $LAPSPEC_JOBS or 1)")
+    p_scan.add_argument("--tol", type=positive_tolerance, default=None, help="numeric hit tolerance")
+    jobs = p_scan.add_argument(
+        "--jobs", type=positive_int, default=_jobs_default(), help="worker processes (default $LAPSPEC_JOBS or 1)"
+    )
     p_scan.add_argument("--json", metavar="OUT.JSONL", default=None, help="also write records as JSON lines")
     p_scan.add_argument("--csv", metavar="OUT.CSV", default=None, help="also write records as CSV")
     p_scan.set_defaults(handler=_cmd_scan)
 
-    return parser
+    return parser, jobs
+
+
+# Building the parser costs about as much as a small ``eval``, so ``main``
+# builds it once per process.
+_shared_parser = cache(_new_parser)
 
 
 def _fmt_rational(x: Fraction) -> str:
@@ -167,6 +182,12 @@ def _cmd_cospectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    # Imported here: numpy and the process pool cost more than a whole
+    # calculus command, and only ``scan`` needs them.
+    from .scan import CERTIFIED_HIT, CSV_HEADER, DEFAULT_TOL, MISS, scan
+
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+
     def report_error(lineno: int, message: str) -> None:
         print(f"line {lineno}: {message}", file=sys.stderr)
 
@@ -191,7 +212,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         lines = (line for physical in fh for line in physical.splitlines())
         count = hits = certified = 0
         write = sys.stdout.write
-        for rec in scan(lines, tol=args.tol, jobs=args.jobs, on_error=report_error):
+        for rec in scan(lines, tol=tol, jobs=args.jobs, on_error=report_error):
             write(f"{rec.index:>8} {rec.g6:<24} {rec.n:>4} {rec.numeric_le:>16.9f} {rec.verdict}\n")
             if jsonl:
                 jsonl.write(rec.json_line() + "\n")
@@ -206,9 +227,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one invocation; returns the exit status."""
-    args = build_parser().parse_args(argv)
+    parser, jobs = _shared_parser()
+    jobs.default = _jobs_default()
+    args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, Graph6Error, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ``ParseError`` and ``Graph6Error`` are ``ValueError``s
         print(f"error: {exc}", file=sys.stderr)
         return 2

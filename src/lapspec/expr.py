@@ -274,9 +274,12 @@ T = TypeVar("T")
 def fold(expr: GraphExpr, combine: Callable[[GraphExpr, Sequence[T]], T]) -> T:
     """Evaluate ``expr`` bottom-up: ``combine(node, child_values)`` at every node.
 
-    Child values come in order, left before right.  ``combine`` only sees the
-    five node classes; any other node raises ``TypeError``.  The walk keeps
-    its own stacks, so Python's recursion limit does not bound its depth.
+    Child values come in order, left before right, and each is passed to
+    ``combine`` once, for its own parent, even where one node object occurs
+    several times in the tree; so ``combine`` may reuse a child's value in
+    place.  ``combine`` only sees the five node classes; any other node
+    raises ``TypeError``.  The walk keeps its own stacks, so Python's
+    recursion limit does not bound its depth.
     """
     # Pre-order with the right child first, reversed, is post-order with the left first.
     nodes: list[tuple[GraphExpr, int]] = []

@@ -366,8 +366,8 @@ def _graph6_decode_group(records: Sequence[str]) -> tuple[np.ndarray, np.ndarray
 
     Returns a mask of the records that are well-formed graph6 of the order
     that character gives, and the ``(k, n, n)`` uint8 adjacency stack of
-    those.  The checks are ``graph6_decode``'s, so the rest are exactly the
-    records it would reject (or strip first); it names each one's fault.
+    those.  The checks are ``graph6_decode``'s, so of stripped records the
+    rest are exactly those it rejects; it names each one's fault.
     """
     first = records[0][:1]
     n = ord(first) - 63 if first else -1

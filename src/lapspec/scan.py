@@ -19,8 +19,7 @@ import json
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
@@ -64,7 +63,7 @@ CSV_HEADER = ("index", "g6", "n", "le", "verdict")
 ErrorHandler = Callable[[int, str], None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRecord:
     """One scanned graph and its verdict."""
 
@@ -106,11 +105,14 @@ class ScanRecord:
 
 
 def scan_g6(index: int, record: str, tol: float = DEFAULT_TOL) -> ScanRecord:
-    """Classify a single graph6 record; raises ``Graph6Error`` if it is malformed."""
-    (result,) = _scan_chunk([(index, record)], tol)
+    """Classify a single graph6 record; raises ``Graph6Error`` if it is malformed.
+
+    Whitespace around the record is ignored; ``g6`` keeps it.
+    """
+    (result,) = _scan_chunk([(index, record.strip())], tol)
     if isinstance(result, str):
         raise Graph6Error(result)
-    return result
+    return replace(result, g6=record)
 
 
 def scan(
@@ -137,6 +139,8 @@ def scan(
         for chunk in chain(head, chunks):
             yield from _deliver(chunk, task(chunk), on_error)
         return
+    from concurrent.futures import ProcessPoolExecutor  # about 18 ms, so only when used
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending = deque((chunk, pool.submit(task, chunk)) for chunk in head)
@@ -205,6 +209,8 @@ def _scan_chunk(chunk: Sequence[tuple[int, str]], tol: float) -> list[ScanRecord
     a reference cycle).  Records are grouped by their first byte, which
     gives the order, and each group is decoded at once; only a record that
     fails the group's checks goes through ``graph6_decode``, for its message.
+    Records come stripped, as ``iter_graph6`` yields them, so those checks
+    reject exactly what ``graph6_decode`` rejects.
     """
     results: list = [None] * len(chunk)
     by_head: dict[str, list[int]] = {}
@@ -216,11 +222,9 @@ def _scan_chunk(chunk: Sequence[tuple[int, str]], tol: float) -> list[ScanRecord
             _classify_group(chunk, list(compress(members, ok)), adj, tol, results)
         for pos in compress(members, ~ok):
             try:
-                g = graph6_decode(chunk[pos][1])
+                graph6_decode(chunk[pos][1])
             except Graph6Error as exc:
                 results[pos] = str(exc)
-            else:  # whitespace around the record, which only the decoder strips
-                _classify_group(chunk, [pos], g.adj[None], tol, results)
     return results
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .expr import Complement, Complete, GraphExpr, Join, Repeat, Union, fold
 
@@ -107,42 +107,58 @@ def _exact(value: int | Fraction) -> int | Fraction:
     return v.numerator if v.denominator == 1 else v
 
 
-def _merge(*parts: Iterable[tuple[int | Fraction, int]]) -> dict:
+def _merge(pairs: Iterable[tuple[int | Fraction, int]]) -> dict:
     """``{value: multiplicity}``: equal values merged, zero multiplicities dropped."""
     out: dict = {}
-    for part in parts:
-        for value, mult in part:
-            if mult < 0:
-                raise ValueError("multiplicities cannot be negative")
-            if mult:
-                out[value] = out.get(value, 0) + mult
+    for value, mult in pairs:
+        if mult < 0:
+            raise ValueError("multiplicities cannot be negative")
+        if mult:
+            out[value] = out.get(value, 0) + mult
     return out
 
 
-def _rest(eigs: dict[int, int], move: Callable[[int], int]) -> Iterator[tuple[int, int]]:
-    """Every eigenvalue mapped by ``move``, but for one 0 (a Laplacian spectrum has one)."""
-    return ((move(value), mult - 1 if value == 0 else mult) for value, mult in eigs.items())
-
-
 def _compose(node: GraphExpr, sides: Sequence[tuple[int, dict[int, int]]]) -> tuple[int, dict[int, int]]:
-    """``(order, eigenvalues)`` of a node from those of its children; all ints."""
+    """``(order, eigenvalues)`` of a node from those of its children; all ints.
+
+    ``fold`` passes each child's dict to its parent only, so the dicts are
+    reused in place.
+    """
     match node:
         case Complete(n):
-            return n, _merge([(0, 1), (n, n - 1)])
+            return n, {0: 1, n: n - 1} if n > 1 else {0: 1}
         case Union():
             (n1, e1), (n2, e2) = sides
-            return n1 + n2, _merge(e1.items(), e2.items())
+            if len(e1) < len(e2):
+                e1, e2 = e2, e1
+            for value, mult in e2.items():
+                e1[value] = e1.get(value, 0) + mult
+            return n1 + n2, e1
         case Join():
             (n1, e1), (n2, e2) = sides
             n = n1 + n2
-            return n, _merge([(0, 1), (n, 1)], _rest(e1, lambda v: v + n2), _rest(e2, lambda v: v + n1))
+            eigs = {0: 1, n: 1}
+            # Each side keeps all but one 0, shifted by the other side's order.
+            for shift, side in ((n2, e1), (n1, e2)):
+                side[0] -= 1
+                for value, mult in side.items():
+                    if mult:
+                        value += shift
+                        eigs[value] = eigs.get(value, 0) + mult
+            return n, eigs
         case Repeat(m):
             # m-fold union scales every multiplicity.
             ((n, eigs),) = sides
-            return m * n, {value: m * mult for value, mult in eigs.items()}
+            for value in eigs:
+                eigs[value] *= m
+            return m * n, eigs
         case Complement():
+            # One 0 stays; the rest reflect to n - value, and a value n becomes another 0.
             ((n, eigs),) = sides
-            return n, _merge([(0, 1)], _rest(eigs, lambda v: n - v))
+            eigs[0] -= 1
+            out = {n - value: mult for value, mult in eigs.items() if mult}
+            out[0] = out.get(0, 0) + 1
+            return n, out
 
 
 def spectrum_of(expr: GraphExpr) -> Spectrum:

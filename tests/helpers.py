@@ -1,14 +1,31 @@
 """Shared generators and brute-force oracles for the test suite."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 
 from lapspec.expr import Complete, Complement, Join, Repeat, Union, order
 from lapspec.realize import DenseGraph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args, **env):
+    """``python ARGS`` in a fresh interpreter that imports lapspec from ``src``."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+    )
 
 
 def random_expr(rng: random.Random, max_depth: int):

@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import json
 
 import pytest
 
 import lapspec.families
+from helpers import run_python
 from lapspec.cli import build_parser, main
 from lapspec.expr import MAX_NESTING, parse
 from lapspec.realize import graph6_encode, realize
@@ -273,6 +275,40 @@ class TestScanOutputGate:
         assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == SCAN_OUTPUT_SHA256[corpus]
 
 
+class TestImportHygiene:
+    """The calculus never imports numpy, and a serial scan never loads the process pool."""
+
+    @staticmethod
+    def imported(args):
+        # -X importtime names every module the interpreter imports, on stderr.
+        run = run_python(["-X", "importtime", "-m", "lapspec", *args])
+        modules = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+        return run.returncode, modules
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "2K2 * 2K2"],
+            ["spectrum", "K2 * 2K1", "--json"],
+            ["cospectral", "K8", "2K2 * 2K2"],
+            ["verify-family", "--id", "all", "--r-max", "1"],
+        ],
+    )
+    def test_calculus(self, args):
+        rc, modules = self.imported(args)
+        assert rc == 0
+        assert "lapspec.cli" in modules
+        assert not {"numpy", "concurrent.futures.process"} & modules
+
+    def test_serial_scan(self, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text("C~\nD?{\n", encoding="ascii")
+        rc, modules = self.imported(["scan", str(path), "--jobs", "1"])
+        assert rc == 0
+        assert "numpy" in modules
+        assert "concurrent.futures.process" not in modules
+
+
 class TestConfig:
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("LAPSPEC_JOBS", "4")
@@ -286,6 +322,44 @@ class TestConfig:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["scan", "in.g6"])
         assert excinfo.value.code == 2
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_jobs_env_is_read_on_every_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "in.g6"
+        path.write_text("C~\n", encoding="ascii")
+        seen = []
+
+        def fake_scan(lines, tol, jobs, on_error):
+            seen.append(jobs)
+            return iter(())
+
+        monkeypatch.setattr(importlib.import_module("lapspec.scan"), "scan", fake_scan)
+        for value in ("3", "2", "", None):
+            if value is None:
+                monkeypatch.delenv("LAPSPEC_JOBS")
+            else:
+                monkeypatch.setenv("LAPSPEC_JOBS", value)
+            assert main(["scan", str(path)]) == 0
+        assert main(["scan", str(path), "--jobs", "5"]) == 0
+        assert seen == [3, 2, 1, 1, 5]
+
+    @pytest.mark.parametrize("value", ["junk", "0", "-3"])
+    def test_bad_jobs_env_after_a_good_call(self, value, monkeypatch, capsys):
+        # Usage lines wrap at the terminal width, which a subprocess reads from $COLUMNS.
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("LAPSPEC_JOBS", "2")
+        assert main(["eval", "K4"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("LAPSPEC_JOBS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", "in.g6"])
+        assert excinfo.value.code == 2
+        fresh = run_python(["-m", "lapspec", "scan", "in.g6"], LAPSPEC_JOBS=value, COLUMNS="80")
+        assert fresh.returncode == 2
+        assert capsys.readouterr().err == fresh.stderr
+        assert "argument --jobs" in fresh.stderr
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

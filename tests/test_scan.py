@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from concurrent import futures
 from concurrent.futures import Future
 from contextlib import closing
 
@@ -200,9 +201,8 @@ class TestPoolSize:
     )
     def test_workers_capped_by_chunks_and_cores(self, monkeypatch, n_chunks, cpus, expected):
         created = []
-        monkeypatch.setattr(
-            scan_module, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(created, max_workers)
-        )
+        # ``scan`` imports the pool class from ``concurrent.futures`` when it needs one.
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(created, max_workers))
         monkeypatch.setattr(scan_module.os, "cpu_count", lambda: cpus)
         lines = [[K4, DIAMOND, FOUR_CYCLE][k % 3] for k in range((n_chunks - 1) * CHUNK_SIZE + 1)]
         records = list(scan(lines, jobs=100_000))
@@ -234,7 +234,7 @@ def lazy_pools(monkeypatch):
         pools.append(_LazyPool())
         return pools[-1]
 
-    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", make)
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
     return pools
 

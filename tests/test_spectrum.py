@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import helpers
-from lapspec.expr import Complement, Join, Repeat, Union, edge_count, order, parse
+from lapspec.expr import Complement, Join, Repeat, Union, edge_count, order, parse, render
 from lapspec.spectrum import Spectrum, multiplicity_of_zero, spectrum_of, spectrum_of_complete
 
 
@@ -136,6 +136,33 @@ class TestSpectrumOf:
         assert s.entries[-1][0] <= s.n
         assert s.entries[0][0] == 0
         assert all(type(value) is int for value, _ in s.entries)
+
+
+class TestSharedNodes:
+    """Composition reuses each child's dict in place; a node object that occurs
+    several times in a tree must still count once per occurrence."""
+
+    @staticmethod
+    def trees(x):
+        doubled = Union(x, x)
+        return [
+            doubled,
+            Join(x, Repeat(3, x)),
+            Complement(x),
+            Join(doubled, Complement(doubled)),
+            Union(Repeat(2, Join(x, x)), Complement(Union(x, Complement(x)))),
+        ]
+
+    @given(helpers.expr_strategy(max_leaves=4))
+    def test_equals_the_spectrum_of_fresh_nodes(self, x):
+        for tree in self.trees(x):
+            assert spectrum_of(tree) == spectrum_of(parse(render(tree)))
+
+    @given(helpers.expr_strategy(max_leaves=4))
+    def test_repeated_calls_agree(self, x):
+        for tree in self.trees(x):
+            assert spectrum_of(tree) == spectrum_of(tree)
+        assert spectrum_of(x) == spectrum_of(parse(render(x)))
 
 
 class TestZeroMultiplicity:
