@@ -12,8 +12,9 @@ Repetition binds tightest, then ``*``, then ``+``; both binary operators
 associate to the left and parentheses group as usual.  ``3K1 * K1`` is
 therefore the join of three isolated vertices with a single vertex, i.e.
 the star on four vertices.  Chains of operators and of ``~`` may be of any
-length; parentheses may nest at most ``MAX_NESTING`` (200) deep.  The walks
-below are ``fold``s, which need no recursion.
+length and parentheses may nest to any depth: ``parse`` is one loop and the
+walks below are ``fold``s, so nothing here recurses, and
+``parse(render(e)) == e`` holds for every expression.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "ParseError",
     "LiteralOverflowError",
     "MAX_LITERAL",
-    "MAX_NESTING",
     "parse",
     "fold",
     "render",
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 MAX_LITERAL = 10**9
-
-MAX_NESTING = 200  # the parser recurses per level, well inside the default recursion limit
 
 
 class ParseError(ValueError):
@@ -152,17 +150,6 @@ class Complement(GraphExpr):
 
 _KINDS = {"K": "K", "+": "PLUS", "*": "STAR", "~": "TILDE", "(": "LPAREN", ")": "RPAREN"}
 
-_DESCRIBE = {
-    "INT": "an integer",
-    "K": "'K'",
-    "PLUS": "'+'",
-    "STAR": "'*'",
-    "TILDE": "'~'",
-    "LPAREN": "'('",
-    "RPAREN": "')'",
-    "END": "end of input",
-}
-
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
@@ -172,13 +159,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits ``int()`` reads
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            value = int(text[i:j])
-            if value > MAX_LITERAL:
-                raise LiteralOverflowError(f"integer literal {text[i:j]} exceeds {MAX_LITERAL}", i)
+            # A literal in range has at most ten significant digits: ``int()``
+            # reads only the last ten, and a nonzero digit before them overflows.
+            digits = text[i:j]
+            value = int(digits[-10:])
+            if value > MAX_LITERAL or (len(digits) > 10 and any(map(int, digits[:-10]))):
+                raise LiteralOverflowError(f"integer literal {digits} exceeds {MAX_LITERAL}", i)
             if value < 1:
                 raise ParseError("integer literals must be at least 1", i)
             tokens.append(("INT", value, i))
@@ -198,72 +188,64 @@ def _show(token: tuple[str, object, int]) -> str:
     return "end of input" if kind == "END" else repr(str(value))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.depth = 0  # open parentheses
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.k]
-
-    def take(self, kind: str) -> tuple[str, object, int]:
-        token = self.tokens[self.k]
-        if token[0] != kind:
-            raise ParseError(f"expected {_DESCRIBE[kind]}, found {_show(token)}", token[2])
-        self.k += 1
-        return token
-
-    def union(self) -> GraphExpr:
-        e = self.join()
-        while self.peek()[0] == "PLUS":
-            self.k += 1
-            e = Union(e, self.join())
-        return e
-
-    def join(self) -> GraphExpr:
-        e = self.rep()
-        while self.peek()[0] == "STAR":
-            self.k += 1
-            e = Join(e, self.rep())
-        return e
-
-    def rep(self) -> GraphExpr:
-        if self.peek()[0] == "INT":
-            m = self.take("INT")[1]
-            return Repeat(m, self.atom())  # type: ignore[arg-type]
-        return self.atom()
-
-    def atom(self) -> GraphExpr:
-        tildes = 0
-        while self.peek()[0] == "TILDE":
-            self.k += 1
-            tildes += 1
-        kind, _, pos = self.peek()
-        if kind == "K":
-            self.k += 1
-            e: GraphExpr = Complete(self.take("INT")[1])  # type: ignore[arg-type]
-        elif kind == "LPAREN":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.k += 1
-            self.depth += 1
-            e = self.union()
-            self.take("RPAREN")
-            self.depth -= 1
-        else:
-            raise ParseError(f"expected 'K', '~', '(' or an integer, found {_show(self.peek())}", pos)
-        for _ in range(tildes):
-            e = Complement(e)
-        return e
-
-
 def parse(text: str) -> GraphExpr:
-    """Parse expression text into its unique AST under the declared precedence."""
-    parser = _Parser(text)
-    e = parser.union()
-    parser.take("END")
-    return e
+    """Parse expression text into its unique AST under the declared precedence.
+
+    One loop reads operands ``[INT] '~'* ('K' INT | '(')``.  An open
+    parenthesis saves the enclosing partial union, partial join, count and
+    ``~``s on a stack, so nesting depth is bounded only by memory.
+    """
+    tokens = _tokenize(text)
+    saved: list[tuple[GraphExpr | None, GraphExpr | None, int | None, int]] = []
+    union: GraphExpr | None = None
+    join: GraphExpr | None = None
+    k = 0
+    while True:
+        count = None
+        if tokens[k][0] == "INT":
+            count = tokens[k][1]
+            k += 1
+        tildes = 0
+        while tokens[k][0] == "TILDE":
+            tildes += 1
+            k += 1
+        kind, _, pos = tokens[k]
+        if kind == "LPAREN":
+            saved.append((union, join, count, tildes))
+            union = join = None
+            k += 1
+            continue
+        if kind != "K":
+            raise ParseError(f"expected 'K', '~', '(' or an integer, found {_show(tokens[k])}", pos)
+        kind, value, pos = tokens[k + 1]
+        if kind != "INT":
+            raise ParseError(f"expected an integer, found {_show(tokens[k + 1])}", pos)
+        k += 2
+        e: GraphExpr = Complete(value)  # type: ignore[arg-type]
+        # Fold the operand in, then close every group that ends after it.
+        while True:
+            for _ in range(tildes):
+                e = Complement(e)
+            if count is not None:
+                e = Repeat(count, e)  # type: ignore[arg-type]
+            join = e if join is None else Join(join, e)
+            kind, _, pos = tokens[k]
+            if kind == "STAR":
+                break
+            union = join if union is None else Union(union, join)
+            join = None
+            if kind == "PLUS":
+                break
+            if not saved:
+                if kind != "END":
+                    raise ParseError(f"expected end of input, found {_show(tokens[k])}", pos)
+                return union
+            if kind != "RPAREN":
+                raise ParseError(f"expected ')', found {_show(tokens[k])}", pos)
+            k += 1
+            e = union
+            union, join, count, tildes = saved.pop()
+        k += 1
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -329,8 +311,7 @@ def _atom_text(expr: GraphExpr, text: str) -> str:
 
 
 def render(expr: GraphExpr) -> str:
-    """Canonical, fully parenthesized text; ``parse(render(e)) == e`` while
-    that text nests at most ``MAX_NESTING`` parentheses."""
+    """Canonical, fully parenthesized text; ``parse(render(e)) == e``."""
     return fold(expr, _render_node)
 
 

@@ -1,8 +1,10 @@
 """Built-in parametric families of L-borderenergetic graphs.
 
-Every family member has order ``4r + 4`` and Laplacian energy ``8r + 6``,
-the energy of the complete graph on the same vertex count.  Ten families
-are provided:
+Every family member has order ``4r + 4``.  The paper states that each has
+Laplacian energy ``8r + 6``, the energy of the complete graph on the same
+vertex count; ``verify`` checks it, and it fails for G24 and G34 at
+``r >= 2`` (see "A finding the verifier flags" in the README).  Ten
+families are provided:
 
 =======  ==============================================================
 Omega1   join of two copies of (r isolated vertices + a star on r+2)

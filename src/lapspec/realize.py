@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .expr import Complement, Complete, GraphExpr, Join, Repeat, Union, order
+from .expr import Complement, Complete, GraphExpr, Join, Repeat, Union, fold, order
 
 __all__ = [
     "DenseGraph",
@@ -134,22 +134,22 @@ def realize(expr: GraphExpr, size_cap: int = DEFAULT_SIZE_CAP) -> DenseGraph:
     n = order(expr)
     if n > size_cap:
         raise GraphTooLargeError(f"expression order {n} exceeds the size cap {size_cap}")
-    return _realize(expr)
+    return fold(expr, _realize_node)
 
 
-def _realize(expr: GraphExpr) -> DenseGraph:
-    # Recursive on purpose, as an independent route; ``order`` has checked every node.
-    match expr:
+def _realize_node(node: GraphExpr, graphs: Sequence[DenseGraph]) -> DenseGraph:
+    # Builds matrices, not spectra, so it stays independent of ``spectrum_of``.
+    match node:
         case Complete(n):
             return DenseGraph.complete(n)
-        case Union(left, right):
-            return _realize(left).union(_realize(right))
-        case Join(left, right):
-            return _realize(left).join(_realize(right))
-        case Repeat(m, inner):
-            return _realize(inner).repeat(m)
-        case Complement(inner):
-            return _realize(inner).complement()
+        case Union():
+            return graphs[0].union(graphs[1])
+        case Join():
+            return graphs[0].join(graphs[1])
+        case Repeat(m):
+            return graphs[0].repeat(m)
+        case Complement():
+            return graphs[0].complement()
 
 
 def laplacian_matrix(g: DenseGraph) -> np.ndarray:

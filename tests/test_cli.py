@@ -7,7 +7,7 @@ import pytest
 import lapspec.families
 from helpers import run_python
 from lapspec.cli import build_parser, main
-from lapspec.expr import MAX_NESTING, parse
+from lapspec.expr import parse
 from lapspec.realize import graph6_encode, realize
 from lapspec.spectrum import Spectrum
 
@@ -39,6 +39,22 @@ class TestEval:
     def test_parse_error_exits_2(self, capsys):
         assert main(["eval", "K1 +"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("K\u00b2", "unexpected character '\u00b2' (at offset 1)"),
+            ("K1\u00b2", "unexpected character '\u00b2' (at offset 2)"),
+            ("\u00b2K1", "unexpected character '\u00b2' (at offset 0)"),
+            ("K" + "1" * 5000, f"integer literal {'1' * 5000} exceeds 1000000000 (at offset 1)"),
+        ],
+        ids=["K-superscript", "K1-superscript", "superscript-K1", "5000-digits"],
+    )
+    def test_bad_literals_exit_2(self, text, message, capsys):
+        assert main(["eval", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSpectrum:
@@ -85,16 +101,28 @@ class TestDeepExpressions:
         assert main(["spectrum", "K2"]) == 0
         assert out == capsys.readouterr().out
 
-    def test_parentheses_at_the_nesting_limit(self, capsys):
-        assert main(["eval", "(" * MAX_NESTING + "K3" + ")" * MAX_NESTING, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 3
-
-    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
-    def test_parentheses_past_the_nesting_limit_exit_2(self, depth, capsys):
-        assert main(["eval", "(" * depth + "K3" + ")" * depth]) == 2
+    @pytest.mark.parametrize("depth", [200, 201, 1200, 10**4])
+    def test_parentheses_nest_to_any_depth(self, depth, capsys):
+        assert main(["eval", "(" * depth + "K3" + ")" * depth, "--json"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: parentheses nested deeper than {MAX_NESTING} (at offset {MAX_NESTING})\n"
+        assert captured.err == ""
+        assert json.loads(captured.out)["n"] == 3
+
+    @pytest.mark.parametrize("terms", [300, 5000])
+    def test_rendered_chain_reads_back(self, terms, capsys):
+        chain = " * ".join(["K1"] * terms)
+        assert main(["eval", chain]) == 0
+        out = capsys.readouterr().out
+        rendered = next(line.split(None, 1)[1] for line in out.splitlines() if line.startswith("expression "))
+        assert rendered.count("(") == terms - 1
+        assert main(["eval", rendered]) == 0
+        assert capsys.readouterr().out == out
+        assert main(["spectrum", chain]) == 0
+        spectrum = capsys.readouterr().out
+        assert main(["spectrum", rendered]) == 0
+        assert capsys.readouterr().out == spectrum
+        assert main(["cospectral", rendered, chain]) == 0
+        assert capsys.readouterr().out == "cospectral\n"
 
 
 class TestVerifyFamily:

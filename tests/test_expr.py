@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import helpers
 from lapspec.expr import (
     Complement,
     Complete,
     Join,
-    MAX_NESTING,
     LiteralOverflowError,
     ParseError,
     Repeat,
@@ -19,6 +19,8 @@ from lapspec.expr import (
     parse,
     render,
 )
+from lapspec.realize import realize
+from lapspec.spectrum import spectrum_of
 
 K1 = Complete(1)
 OMEGA1_R2 = "(2K1 + (K1 * 3K1)) * (2K1 + (K1 * 3K1))"
@@ -85,6 +87,28 @@ class TestParse:
         with pytest.raises(LiteralOverflowError):
             parse(f"K{10**10}")
 
+    @pytest.mark.parametrize(
+        "text, error, pos",
+        [
+            ("K\u00b2", ParseError, 1),
+            ("K1\u00b2", ParseError, 2),
+            ("\u00b2K1", ParseError, 0),
+            ("K" + "1" * 5000, LiteralOverflowError, 1),
+            ("2K1 + " + "9" * 4301 + "K1", LiteralOverflowError, 6),
+        ],
+        ids=["K-superscript", "K1-superscript", "superscript-K1", "5000-digits", "4301-digits"],
+    )
+    def test_bad_literals_are_parse_errors(self, text, error, pos):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert type(excinfo.value) is error
+        assert excinfo.value.pos == pos
+
+    def test_literals_in_any_decimal_script_and_with_leading_zeros(self):
+        assert parse("K\u0663") == Complete(3)
+        assert parse("K" + "0" * 5000 + "1") == K1
+        assert parse(f"K{10**9:020}") == Complete(10**9)
+
 
 class TestRender:
     def test_complete(self):
@@ -119,6 +143,17 @@ def test_roundtrip_property(e):
     assert parse(render(e)) == e
 
 
+@given(st.text("K0123456789+*~() \t\u00b2\u0663x", max_size=40))
+@example("K" + "7" * 4301)
+def test_any_text_parses_and_reads_back_or_is_a_parse_error(text):
+    try:
+        e = parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.pos <= len(text)
+    else:
+        assert parse(render(e)) == e
+
+
 class TestCounts:
     def test_order_of_omega1_member(self):
         assert order(parse("(1K1 + (K1 * 2K1)) * (1K1 + (K1 * 2K1))")) == 8
@@ -146,11 +181,12 @@ class TestCounts:
 
 
 class TestDepth:
-    def test_nesting_limit(self):
-        assert parse("(" * MAX_NESTING + "K1" + ")" * MAX_NESTING) == K1
+    def test_parentheses_nest_to_any_depth(self):
+        assert parse("(" * 200 + "K1" + ")" * 200) == K1
+        assert parse("K2 + " + "(" * 201 + "K1" + ")" * 201) == Union(Complete(2), K1)
         with pytest.raises(ParseError) as excinfo:
-            parse("K2 + " + "(" * (MAX_NESTING + 1) + "K1" + ")" * (MAX_NESTING + 1))
-        assert excinfo.value.pos == len("K2 + ") + MAX_NESTING
+            parse("K2 + " + "(" * 1000 + "K1" + ")" * 999)
+        assert str(excinfo.value) == f"expected ')', found end of input (at offset {5 + 1000 + 2 + 999})"
 
     def test_complement_chain_has_no_limit(self):
         e = parse("~" * 5000 + "K2")
@@ -166,6 +202,33 @@ class TestDepth:
         assert edge_count(e) == n * (n - 1) // 2
         assert render(e) == "(" * (n - 1) + "K1" + " * K1)" * (n - 1)
         assert edge_count(parse(" + ".join(["K2"] * n))) == n
+
+
+class TestDeepInputs:
+    """Deep trees through every entry point: each text denotes the graph of ``same``."""
+
+    CASES = {
+        "union chain": (" + ".join(["K1"] * 1200), "1200K1"),
+        "complement chain": ("~" * 3001 + "K2", "2K1"),
+        "right-nested unions": ("K1 + (" * 3000 + "K1" + ")" * 3000, "3001K1"),
+        "deep parentheses": ("(" * 10**5 + "2K1 * K1" + ")" * 10**5, "2K1 * K1"),
+    }
+
+    @pytest.mark.parametrize("text, same", CASES.values(), ids=CASES.keys())
+    def test_walks(self, text, same):
+        e = parse(text)
+        assert parse(render(e)) == e
+        assert e == parse(text) and hash(e) == hash(parse(text))
+        assert repr(e) == repr(parse(render(e)))
+        s = spectrum_of(e)
+        assert s == spectrum_of(parse(same))
+        assert order(e) == s.n == order(parse(same))
+        assert 2 * edge_count(e) == s.trace() == 2 * edge_count(parse(same))
+
+    @pytest.mark.parametrize("case", ["union chain", "complement chain"])
+    def test_realize(self, case):
+        e = parse(self.CASES[case][0])
+        assert realize(e).edge_count() == edge_count(e)
 
 
 class TestFold:
