@@ -22,6 +22,7 @@ from lapspec.realize import (
     realize,
     symmetric_eigenvalues,
 )
+from lapspec.scan import scan
 from lapspec.spectrum import spectrum_of
 
 networkx = pytest.importorskip("networkx")
@@ -415,20 +416,25 @@ class TestGraph6:
             graph6_encode(DenseGraph(np.zeros((63, 63), dtype=int)))
 
     @pytest.mark.parametrize(
-        "record",
+        "record, message",
         [
-            "",
-            "~AAAA",       # multi-byte order form
-            ">C~",         # byte below 63
-            "B",           # truncated payload
-            "A_X",         # trailing bytes
-            "A\x7f",       # byte above 126
-            "Aé",          # non-ASCII
+            ("", "empty graph6 record"),
+            ("~AAAA", "multi-byte order encoding (n > 62) is not supported"),
+            (">C~", "malformed graph6 byte 62 (must be 63..126)"),
+            ("B", "truncated graph6 payload: expected 1 bytes, found 0"),
+            ("A_X", "trailing bytes after graph6 payload of 1 bytes"),
+            ("A\x7f", "malformed graph6 byte 127 (must be 63..126)"),
+            ("Aé", "non-ASCII character in graph6 record"),
         ],
     )
-    def test_decode_rejects_malformed(self, record):
-        with pytest.raises(Graph6Error):
+    def test_decode_rejects_malformed(self, record, message):
+        with pytest.raises(Graph6Error) as excinfo:
             graph6_decode(record)
+        assert str(excinfo.value) == message
+        errors = []
+        assert list(scan([record], jobs=1, on_error=lambda ln, msg: errors.append((ln, msg)))) == []
+        # The scan skips a blank line, so only a non-empty record is reported.
+        assert errors == ([(1, message)] if record else [])
 
     def test_first_bad_payload_byte_is_named(self):
         # Order 6 needs three payload bytes; the second and third are bad.
