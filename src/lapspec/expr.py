@@ -71,16 +71,21 @@ class GraphExpr:
         return hash(tuple(_preorder(self)))
 
     def __repr__(self) -> str:
-        # Reversed pre-order meets each node after its children, with the
-        # text of its first child on top of the stack.
+        # One pre-order pass: a node's pieces go on the stack in order, so its
+        # closing text waits there while its children are written.
         texts: list[str] = []
-        for cls, *values in reversed(list(_preorder(self))):
-            fields = [
-                f"{name}={texts.pop() if value is _CHILD else repr(value)}"
-                for name, value in zip(cls.__dataclass_fields__, values)
-            ]
-            texts.append(f"{cls.__qualname__}({', '.join(fields)})")
-        return texts[0]
+        stack: list[GraphExpr | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                texts.append(item)
+                continue
+            pieces: list[GraphExpr | str] = [f"{item.__class__.__qualname__}("]
+            for i, name in enumerate(item.__dataclass_fields__):
+                value = getattr(item, name)
+                pieces += [f"{', ' if i else ''}{name}=", value if isinstance(value, GraphExpr) else repr(value)]
+            stack += reversed([*pieces, ")"])
+        return "".join(texts)
 
 
 _CHILD = object()  # stands for a child expression among a node's fields

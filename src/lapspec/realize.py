@@ -332,55 +332,60 @@ def _graph6_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
+# The order a graph6 record's first character gives; any other first character is rejected.
+_GRAPH6_ORDERS = {chr(63 + n): n for n in range(63)}
+
+
 def graph6_decode(text: str) -> DenseGraph:
-    """Decode one graph6 record (single-byte order form, n <= 62)."""
+    """Decode one graph6 record (single-byte order form, n <= 62), ignoring whitespace around it."""
     s = text.strip()
-    if not s:
-        raise Graph6Error("empty graph6 record")
-    try:
-        data = s.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise Graph6Error("non-ASCII character in graph6 record") from exc
-    head = data[0]
-    if head == 126:
-        raise Graph6Error("multi-byte order encoding (n > 62) is not supported")
-    if not 63 <= head <= 126:
-        raise Graph6Error(f"malformed graph6 byte {head} (must be 63..126)")
-    n = head - 63
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    payload = data[1:]
-    if len(payload) < need:
-        raise Graph6Error(f"truncated graph6 payload: expected {need} bytes, found {len(payload)}")
-    if len(payload) > need:
-        raise Graph6Error(f"trailing bytes after graph6 payload of {need} bytes")
-    values = np.frombuffer(payload, dtype=np.uint8) - np.uint8(63)
-    if values.max(initial=0) > 63:  # bytes below 63 wrap around to large values
-        first = int(np.argmax(values > 63))
-        raise Graph6Error(f"malformed graph6 byte {payload[first]} (must be 63..126)")
-    return DenseGraph._trusted(_graph6_adjacency(n, values[None])[0])
+    groups, rejected = _graph6_decode_records([s])
+    if rejected:
+        raise Graph6Error(_graph6_fault(s))
+    return DenseGraph._trusted(groups[0][1][0])
 
 
-def _graph6_decode_group(records: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Decode records that share their first character, all at once.
+def _graph6_decode_records(records: Sequence[str]) -> tuple[list[tuple[list[int], np.ndarray]], list[int]]:
+    """Decode stripped graph6 records of any orders, each order at once.
 
-    Returns a mask of the records that are well-formed graph6 of the order
-    that character gives, and the ``(k, n, n)`` uint8 adjacency stack of
-    those.  The checks are ``graph6_decode``'s, so of stripped records the
-    rest are exactly those it rejects; it names each one's fault.
+    Returns, for each order with well-formed records, their positions and
+    ``(k, n, n)`` uint8 adjacency stack; then the positions of the rejected
+    records, ascending, whose faults ``_graph6_fault`` names.
     """
-    first = records[0][:1]
-    n = ord(first) - 63 if first else -1
-    if not 0 <= n <= 62:
-        return np.zeros(len(records), dtype=bool), np.zeros((0, 0, 0), dtype=np.uint8)
-    size = 1 + (n * (n - 1) // 2 + 5) // 6
-    ok = np.array([len(r) == size and r.isascii() for r in records], dtype=bool)
-    data = "".join(compress(records, ok)).encode("ascii")
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, size)
-    values = rows[:, 1:] - np.uint8(63)
-    good = (values <= 63).all(axis=1)  # bytes below 63 wrap around
-    ok[ok] = good
-    return ok, _graph6_adjacency(n, values[good])
+    by_order: dict[int, list[int]] = {}
+    for pos, record in enumerate(records):
+        by_order.setdefault(_GRAPH6_ORDERS.get(record[:1], -1), []).append(pos)
+    groups, rejected = [], by_order.pop(-1, [])
+    for n, members in by_order.items():
+        size = 1 + (n * (n - 1) // 2 + 5) // 6  # the order byte, then 6 bits of the upper triangle a byte
+        ok = np.array([len(records[pos]) == size and records[pos].isascii() for pos in members], dtype=bool)
+        data = "".join(records[pos] for pos in compress(members, ok)).encode("ascii")
+        values = np.frombuffer(data, dtype=np.uint8).reshape(-1, size)[:, 1:] - np.uint8(63)
+        good = (values <= 63).all(axis=1)  # bytes below 63 wrap around
+        ok[ok] = good
+        if good.any():
+            groups.append((list(compress(members, ok)), _graph6_adjacency(n, values[good])))
+        rejected += compress(members, ~ok)
+    return groups, sorted(rejected)
+
+
+def _graph6_fault(record: str) -> str:
+    """The message for a stripped record that ``_graph6_decode_records`` rejects."""
+    if not record:
+        return "empty graph6 record"
+    if not record.isascii():
+        return "non-ASCII character in graph6 record"
+    if record[0] == "~":
+        return "multi-byte order encoding (n > 62) is not supported"
+    n = _GRAPH6_ORDERS.get(record[0])
+    if n is not None:
+        need, found = (n * (n - 1) // 2 + 5) // 6, len(record) - 1
+        if found < need:
+            return f"truncated graph6 payload: expected {need} bytes, found {found}"
+        if found > need:
+            return f"trailing bytes after graph6 payload of {need} bytes"
+    bad = next(c for c in record if not "?" <= c <= "~")  # the order byte or a payload byte
+    return f"malformed graph6 byte {ord(bad)} (must be 63..126)"
 
 
 def _graph6_adjacency(n: int, values: np.ndarray) -> np.ndarray:
@@ -409,8 +414,8 @@ def graph6_encode(g: DenseGraph) -> str:
 def iter_graph6(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Yield ``(line_number, record)`` pairs from graph6 text lines.
 
-    Blank lines are skipped and the optional ``>>graph6<<`` header is
-    tolerated, either alone on a line or prefixed to the first record.
+    Blank lines are skipped, and a ``>>graph6<<`` header is stripped from
+    the start of any line, whether alone on it or before a record.
     """
     for lineno, raw in enumerate(lines, start=1):
         s = raw.strip()

@@ -3,14 +3,14 @@ complete-graph value ``2n - 2``.
 
 Input is read in chunks of at most ``CHUNK_SIZE`` records whose matrices
 hold at most ``CHUNK_CELLS`` cells, so small orders are solved in large
-groups and memory stays bounded at any order.  Within a chunk, the records
-of each order are decoded together and get a numeric verdict first (LAPACK
-eigenvalues of their Laplacians, solved as one stack).  The numeric hits
-whose spectra round to integers with an LE of exactly ``2n - 2`` are then
-certified exactly from the minimal polynomial and power traces of their
-Laplacians, all of one order in one call on the same float64 stack; only
-an exact certificate upgrades the verdict, so other near-hits stay
-explicitly labeled ``numeric_hit``.
+groups and memory stays bounded at any order.  ``realize`` decodes each
+chunk, every order at once, and names the fault of each malformed record.
+The well-formed records of an order get a numeric verdict first (LAPACK
+eigenvalues of their Laplacians, solved as one stack).  Numeric hits whose
+spectra round to integers with an LE of exactly ``2n - 2`` are certified
+exactly from the minimal polynomial and power traces of their Laplacians,
+in one call on the same float64 stack; only an exact certificate upgrades
+the verdict, so other near-hits stay explicitly labeled ``numeric_hit``.
 """
 
 from __future__ import annotations
@@ -21,17 +21,18 @@ import os
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .realize import (
+    _GRAPH6_ORDERS,
     Graph6Error,
-    _graph6_decode_group,
+    _graph6_decode_records,
+    _graph6_fault,
     certify_integer_spectrum,
-    graph6_decode,
     iter_graph6,
     symmetric_eigenvalues,
 )
@@ -165,9 +166,9 @@ def scan(
 CHUNK_SIZE = 4096
 CHUNK_CELLS = 512 * 62 * 62
 
-# Cells of a record's matrix, by its first byte.  A record whose first byte
-# is not an order byte is rejected without building a matrix.
-_CELLS = {chr(63 + n): n * n for n in range(63)}
+# Cells of a record's matrix, by its first character.  A record whose first
+# character gives no order is rejected without building a matrix.
+_CELLS = {head: n * n for head, n in _GRAPH6_ORDERS.items()}
 
 
 def _chunks(pairs: Iterable[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:
@@ -201,30 +202,19 @@ def _deliver(
 
 
 def _scan_chunk(chunk: Sequence[tuple[int, str]], tol: float) -> list[ScanRecord | str]:
-    """Classify a chunk of ``(line_number, record)`` pairs.
+    """Classify a chunk of ``(line_number, record)`` pairs, stripped as ``iter_graph6`` yields them.
 
     Returns, position for position, the record's ``ScanRecord`` or the
-    message of the ``Graph6Error`` that rejected it (the message, not the
-    exception: its traceback would tie this frame and the whole chunk into
-    a reference cycle).  Records are grouped by their first byte, which
-    gives the order, and each group is decoded at once; only a record that
-    fails the group's checks goes through ``graph6_decode``, for its message.
-    Records come stripped, as ``iter_graph6`` yields them, so those checks
-    reject exactly what ``graph6_decode`` rejects.
+    message that names its graph6 fault: a message, not a ``Graph6Error``,
+    whose traceback would tie this frame and the chunk into a reference cycle.
     """
     results: list = [None] * len(chunk)
-    by_head: dict[str, list[int]] = {}
-    for pos, (_, record) in enumerate(chunk):
-        by_head.setdefault(record[:1], []).append(pos)
-    for members in by_head.values():
-        ok, adj = _graph6_decode_group([chunk[pos][1] for pos in members])
-        if len(adj):
-            _classify_group(chunk, list(compress(members, ok)), adj, tol, results)
-        for pos in compress(members, ~ok):
-            try:
-                graph6_decode(chunk[pos][1])
-            except Graph6Error as exc:
-                results[pos] = str(exc)
+    records = [record for _, record in chunk]
+    groups, rejected = _graph6_decode_records(records)
+    for members, adj in groups:
+        _classify_group(chunk, members, adj, tol, results)
+    for pos in rejected:
+        results[pos] = _graph6_fault(records[pos])
     return results
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -304,3 +305,8 @@ class TestValueSemantics:
         assert {e: 1}[parse(text)] == 1
         name = "Join" if op == "*" else "Union"
         assert repr(e) == f"{name}(left=" * 1999 + "Complete(n=1)" + ", right=Complete(n=1))" * 1999
+
+    def test_repr_of_a_long_chain(self):
+        # A walk that copied each child's text into its parent's took about a minute here.
+        e = functools.reduce(Join, [K1] * 10**5)
+        assert repr(e) == "Join(left=" * 99_999 + "Complete(n=1)" + ", right=Complete(n=1))" * 99_999

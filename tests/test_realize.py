@@ -460,34 +460,39 @@ class TestGraph6:
         assert g.n == ord(text.strip()[0]) - 63
 
     @given(
-        st.integers(0, 62),
-        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3), st.text(max_size=3)), min_size=1, max_size=8),
+        st.lists(
+            st.tuples(st.integers(0, 62), st.integers(0, 2**32 - 1), st.integers(0, 3), st.text(max_size=3)),
+            min_size=1,
+            max_size=12,
+        )
     )
     @settings(max_examples=300)
-    def test_group_decode_agrees_with_graph6_decode(self, n, mutations):
+    def test_decoding_a_list_agrees_with_each_record_alone(self, mutations):
         records = []
-        for seed, kind, text in mutations:
+        for n, seed, kind, text in mutations:
             record = graph6_encode(helpers.random_graph(random.Random(seed), n))
             if kind == 1 and len(record) > 1:
                 record = record[:-1]
             elif kind == 2:
                 record += text
-            elif kind == 3:  # replace one byte after the first
-                i = 1 + seed % len(record)
+            elif kind == 3:  # replace one character, the order byte included
+                i = seed % len(record)
                 record = record[:i] + text + record[i + 1:]
             records.append(record)
-        ok, adj = realize_module._graph6_decode_group(records)
-        assert len(adj) == ok.sum()
-        rows = iter(adj)
-        for record, good in zip(records, ok):
-            if good:
-                assert graph6_decode(record) == DenseGraph(next(rows))
-                continue
-            try:
-                graph6_decode(record)
-            except Graph6Error:
-                continue
-            assert record != record.strip()  # only whitespace, which the decoder strips, sets it apart
+        groups, rejected = realize_module._graph6_decode_records([r.strip() for r in records])
+        decoded = {}
+        for members, adj in groups:
+            assert len(adj) == len(members)
+            decoded.update(zip(members, adj))
+        assert rejected == sorted(rejected)
+        assert sorted([*decoded, *rejected]) == list(range(len(records)))
+        for pos, record in enumerate(records):
+            if pos in decoded:
+                assert graph6_decode(record) == DenseGraph(decoded[pos])
+            else:
+                with pytest.raises(Graph6Error) as excinfo:
+                    graph6_decode(record)
+                assert str(excinfo.value) == realize_module._graph6_fault(record.strip())
 
     @given(st.integers(0, 62), st.integers(0, 2**32 - 1))
     @settings(max_examples=100)
