@@ -47,6 +47,7 @@ from .spectrum import (
     multiplicity_of_zero,
     spectrum_of,
     spectrum_of_complete,
+    spectrum_of_text,
 )
 
 __version__ = "0.1.0"

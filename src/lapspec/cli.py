@@ -28,7 +28,7 @@ from functools import cache
 from .energy import energy_report, is_cospectral
 from .expr import parse, render
 from .families import FAMILY_IDS, family_specs, verify
-from .spectrum import spectrum_of
+from .spectrum import spectrum_of, spectrum_of_text
 
 __all__ = ["build_parser", "main"]
 
@@ -116,11 +116,12 @@ def _fmt_bool(b: bool) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.json:
+        print(json.dumps(energy_report(spectrum_of_text(args.expr)).to_json_obj()))
+        return 0
+    # The table prints the expression's canonical text, so only it builds the tree.
     expr = parse(args.expr)
     report = energy_report(spectrum_of(expr))
-    if args.json:
-        print(json.dumps(report.to_json_obj()))
-        return 0
     print(f"expression         {render(expr)}")
     print(f"n                  {report.n}")
     print(f"m                  {report.m}")
@@ -133,7 +134,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    s = spectrum_of(parse(args.expr))
+    s = spectrum_of_text(args.expr)
     if args.json:
         print(json.dumps(s.to_json_obj()))
         return 0
@@ -171,8 +172,8 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_cospectral(args: argparse.Namespace) -> int:
-    s1 = spectrum_of(parse(args.expr1))
-    s2 = spectrum_of(parse(args.expr2))
+    s1 = spectrum_of_text(args.expr1)
+    s2 = spectrum_of_text(args.expr2)
     same = is_cospectral(s1, s2)
     if args.json:
         print(json.dumps({"cospectral": same}))

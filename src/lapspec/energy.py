@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .spectrum import Spectrum, spectrum_of_complete
+from .spectrum import Spectrum
 
 __all__ = [
     "EnergyReport",
@@ -82,18 +82,24 @@ class EnergyReport:
 
 
 def energy_report(s: Spectrum) -> EnergyReport:
-    """Full report for a spectrum; the edge count is recovered from the trace."""
+    """Full report for a spectrum; the edge count is recovered from the trace.
+
+    A ``Spectrum`` holds one 0 at least and no value above ``n``, so its
+    trace reaches ``n(n - 1)`` only when the other ``n - 1`` values all
+    equal ``n``: that is, only for the spectrum of the complete graph.
+    """
+    n = s.n
     trace = s.trace()
     if trace.denominator != 1 or trace.numerator % 2:
         raise ValueError("spectrum trace is not an even integer; not a Laplacian spectrum")
-    le = laplacian_energy(s)
-    target = 2 * s.n - 2
+    le = m_energy(s.entries, trace, n)
+    target = 2 * n - 2
     return EnergyReport(
-        n=s.n,
+        n=n,
         m=trace.numerator // 2,
-        avg_degree=Fraction(trace, s.n),
+        avg_degree=Fraction(trace, n),
         laplacian_energy=le,
         target=target,
         is_l_borderenergetic=le == target,
-        is_complete=is_cospectral(s, spectrum_of_complete(s.n)),
+        is_complete=trace == n * (n - 1),
     )

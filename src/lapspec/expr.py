@@ -12,16 +12,22 @@ Repetition binds tightest, then ``*``, then ``+``; both binary operators
 associate to the left and parentheses group as usual.  ``3K1 * K1`` is
 therefore the join of three isolated vertices with a single vertex, i.e.
 the star on four vertices.  Chains of operators and of ``~`` may be of any
-length and parentheses may nest to any depth: ``parse`` is one loop and the
-walks below are ``fold``s, so nothing here recurses, and
-``parse(render(e)) == e`` holds for every expression.
+length and parentheses may nest to any depth: ``parse`` is one loop, the
+walks below are ``fold``s and ``render`` is one pre-order pass, so nothing
+here recurses, and ``parse(render(e)) == e`` holds for every expression.
+
+``parse`` calls a ``Builder``'s five constructors in parse order, children
+before their parent.  The default, ``AST``, builds the tree; any other
+builder evaluates the text without one (``spectrum.spectrum_of_text``
+passes the spectrum rules that ``spectrum_of`` applies to a tree), under
+the same grammar, errors and offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 __all__ = [
     "GraphExpr",
@@ -33,6 +39,8 @@ __all__ = [
     "ParseError",
     "LiteralOverflowError",
     "MAX_LITERAL",
+    "Builder",
+    "AST",
     "parse",
     "fold",
     "render",
@@ -151,6 +159,25 @@ class Complement(GraphExpr):
     inner: GraphExpr
 
 
+class Builder(NamedTuple):
+    """The five constructors ``parse`` calls, with the node classes' arguments.
+
+    ``complete(n)``, ``union(left, right)``, ``join(left, right)``,
+    ``repeat(m, inner)`` and ``complement(inner)``, where ``left``, ``right``
+    and ``inner`` are values an earlier call returned.  Each value is passed
+    on once, to its parent's call, so a builder may reuse it in place.
+    """
+
+    complete: Callable[[int], Any]
+    union: Callable[[Any, Any], Any]
+    join: Callable[[Any, Any], Any]
+    repeat: Callable[[int, Any], Any]
+    complement: Callable[[Any], Any]
+
+
+AST = Builder(Complete, Union, Join, Repeat, Complement)
+
+
 # --- parsing -----------------------------------------------------------------
 
 _KINDS = {"K": "K", "+": "PLUS", "*": "STAR", "~": "TILDE", "(": "LPAREN", ")": "RPAREN"}
@@ -193,17 +220,19 @@ def _show(token: tuple[str, object, int]) -> str:
     return "end of input" if kind == "END" else repr(str(value))
 
 
-def parse(text: str) -> GraphExpr:
-    """Parse expression text into its unique AST under the declared precedence.
+def parse(text: str, builder: Builder = AST) -> Any:
+    """Parse expression text under the declared precedence.
 
-    One loop reads operands ``[INT] '~'* ('K' INT | '(')``.  An open
-    parenthesis saves the enclosing partial union, partial join, count and
-    ``~``s on a stack, so nesting depth is bounded only by memory.
+    Returns the unique AST, or with another ``builder`` what its
+    constructors make of the text.  One loop reads operands
+    ``[INT] '~'* ('K' INT | '(')``.  An open parenthesis saves the
+    enclosing partial union, partial join, count and ``~``s on a stack, so
+    nesting depth is bounded only by memory.
     """
+    make_complete, make_union, make_join, make_repeat, make_complement = builder
     tokens = _tokenize(text)
-    saved: list[tuple[GraphExpr | None, GraphExpr | None, int | None, int]] = []
-    union: GraphExpr | None = None
-    join: GraphExpr | None = None
+    saved: list[tuple[Any, Any, int | None, int]] = []
+    union = join = None
     k = 0
     while True:
         count = None
@@ -226,18 +255,18 @@ def parse(text: str) -> GraphExpr:
         if kind != "INT":
             raise ParseError(f"expected an integer, found {_show(tokens[k + 1])}", pos)
         k += 2
-        e: GraphExpr = Complete(value)  # type: ignore[arg-type]
+        e = make_complete(value)
         # Fold the operand in, then close every group that ends after it.
         while True:
             for _ in range(tildes):
-                e = Complement(e)
+                e = make_complement(e)
             if count is not None:
-                e = Repeat(count, e)  # type: ignore[arg-type]
-            join = e if join is None else Join(join, e)
+                e = make_repeat(count, e)
+            join = e if join is None else make_join(join, e)
             kind, _, pos = tokens[k]
             if kind == "STAR":
                 break
-            union = join if union is None else Union(union, join)
+            union = join if union is None else make_union(union, join)
             join = None
             if kind == "PLUS":
                 break
@@ -296,28 +325,47 @@ def fold(expr: GraphExpr, combine: Callable[[GraphExpr, Sequence[T]], T]) -> T:
 # --- printing ----------------------------------------------------------------
 
 
-def _render_node(node: GraphExpr, texts: Sequence[str]) -> str:
-    match node:
-        case Complete(n):
-            return f"K{n}"
-        case Union():
-            return f"({texts[0]} + {texts[1]})"
-        case Join():
-            return f"({texts[0]} * {texts[1]})"
-        case Repeat(m, inner):
-            return f"{m}{_atom_text(inner, texts[0])}"
-        case Complement(inner):
-            return f"~{_atom_text(inner, texts[0])}"
+def _checked(value: object) -> GraphExpr:
+    if not isinstance(value, GraphExpr):
+        raise TypeError(f"not a GraphExpr: {value!r}")
+    return value
 
 
-def _atom_text(expr: GraphExpr, text: str) -> str:
-    # Repeat is the one node whose rendering is not itself an atom.
-    return f"({text})" if isinstance(expr, Repeat) else text
+def _atom(inner: GraphExpr) -> tuple[GraphExpr | str, ...]:
+    """Stack items that write ``inner`` as an atom, last item first."""
+    # Repeat is the one node whose text is not itself an atom.
+    return (")", inner, "(") if isinstance(inner, Repeat) else (_checked(inner),)
 
 
 def render(expr: GraphExpr) -> str:
-    """Canonical, fully parenthesized text; ``parse(render(e)) == e``."""
-    return fold(expr, _render_node)
+    """Canonical, fully parenthesized text; ``parse(render(e)) == e``.
+
+    One pre-order pass, as in ``GraphExpr.__repr__``: a node's closing text
+    waits on the stack while its children are written, so the time is
+    linear in the length of the text.
+    """
+    texts: list[str] = []
+    stack: list[GraphExpr | str] = [_checked(expr)]
+    while stack:
+        item = stack.pop()
+        match item:
+            case str():
+                texts.append(item)
+            case Complete(n):
+                texts.append(f"K{n}")
+            case Union(left, right):
+                stack += (")", _checked(right), " + ", _checked(left), "(")
+            case Join(left, right):
+                stack += (")", _checked(right), " * ", _checked(left), "(")
+            case Repeat(m, inner):
+                texts.append(f"{m}")
+                stack += _atom(inner)
+            case Complement(inner):
+                texts.append("~")
+                stack += _atom(inner)
+            case _:
+                raise TypeError(f"not a GraphExpr: {item!r}")
+    return "".join(texts)
 
 
 # --- structural counts ---------------------------------------------------------

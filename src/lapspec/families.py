@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .energy import energy_report, is_cospectral
 from .expr import GraphExpr, parse
-from .spectrum import Spectrum, spectrum_of
+from .spectrum import Spectrum, spectrum_of, spectrum_of_text
 
 __all__ = [
     "FAMILY_IDS",
@@ -268,7 +268,7 @@ def pairwise_noncospectral(
         raise ValueError("need at least one family member")
     seen: dict[Spectrum, FamilySpec] = {}
     for spec in specs:
-        key = spectrum_of(build(spec))
+        key = spectrum_of_text(source(spec))
         if key in seen:
             return False, (seen[key], spec)
         seen[key] = spec

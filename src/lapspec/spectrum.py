@@ -9,11 +9,14 @@ Spectra compose structurally, so no matrix is ever diagonalized here:
   the other side's order, and appends ``n1 + n2``.
 
 Every expression denotes a cograph, and cographs are Laplacian integral:
-``spectrum_of`` applies these rules in one ``fold`` over the expression,
-on ``{eigenvalue: multiplicity}`` dicts of Python ints, and validates a
-single ``Spectrum`` at the root.  ``Spectrum`` itself also holds rational
-eigenvalues (a closed form or a JSON object may carry them); an integral
-value is always stored as an ``int``.
+the rules act on ``(order, {eigenvalue: multiplicity})`` pairs of Python
+ints, one function per node class, and a single ``Spectrum`` is
+validated at the root.  Both routes call the same five functions:
+``spectrum_of`` applies them in one ``fold`` over a tree, and
+``spectrum_of_text`` passes them to ``parse`` as its builder, so the text
+is composed while it is parsed and no tree is built.  ``Spectrum`` itself
+also holds rational eigenvalues (a closed form or a JSON object may carry
+them); an integral value is always stored as an ``int``.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .expr import Complement, Complete, GraphExpr, Join, Repeat, Union, fold
+from .expr import Builder, Complement, Complete, GraphExpr, Join, Repeat, Union, fold, parse
 
 __all__ = [
     "Spectrum",
     "spectrum_of",
+    "spectrum_of_text",
     "spectrum_of_complete",
     "multiplicity_of_zero",
 ]
@@ -118,53 +122,88 @@ def _merge(pairs: Iterable[tuple[int | Fraction, int]]) -> dict:
     return out
 
 
-def _compose(node: GraphExpr, sides: Sequence[tuple[int, dict[int, int]]]) -> tuple[int, dict[int, int]]:
-    """``(order, eigenvalues)`` of a node from those of its children; all ints.
+# The five rules, on ``(order, {eigenvalue: multiplicity})`` pairs of ints.
+# A pair is passed on once, to its parent, so its dict is reused in place.
+_Pair = tuple[int, dict[int, int]]
 
-    ``fold`` passes each child's dict to its parent only, so the dicts are
-    reused in place.
-    """
+
+def _complete(n: int) -> _Pair:
+    return n, {0: 1, n: n - 1} if n > 1 else {0: 1}
+
+
+def _union(left: _Pair, right: _Pair) -> _Pair:
+    (n1, e1), (n2, e2) = left, right
+    if len(e1) < len(e2):
+        e1, e2 = e2, e1
+    for value, mult in e2.items():
+        e1[value] = e1.get(value, 0) + mult
+    return n1 + n2, e1
+
+
+def _join(left: _Pair, right: _Pair) -> _Pair:
+    (n1, e1), (n2, e2) = left, right
+    n = n1 + n2
+    eigs = {0: 1, n: 1}
+    # Each side keeps all but one 0, shifted by the other side's order.
+    for shift, side in ((n2, e1), (n1, e2)):
+        side[0] -= 1
+        for value, mult in side.items():
+            if mult:
+                value += shift
+                eigs[value] = eigs.get(value, 0) + mult
+    return n, eigs
+
+
+def _repeat(m: int, inner: _Pair) -> _Pair:
+    # m-fold union scales every multiplicity.
+    n, eigs = inner
+    for value in eigs:
+        eigs[value] *= m
+    return m * n, eigs
+
+
+def _complement(inner: _Pair) -> _Pair:
+    # One 0 stays; the rest reflect to n - value, and a value n becomes another 0.
+    n, eigs = inner
+    eigs[0] -= 1
+    out = {n - value: mult for value, mult in eigs.items() if mult}
+    out[0] = out.get(0, 0) + 1
+    return n, out
+
+
+_RULES = Builder(_complete, _union, _join, _repeat, _complement)
+
+
+def _compose(node: GraphExpr, sides: Sequence[_Pair]) -> _Pair:
+    """``fold`` combiner: the rule of ``node``'s class on its children's pairs."""
     match node:
         case Complete(n):
-            return n, {0: 1, n: n - 1} if n > 1 else {0: 1}
+            return _complete(n)
         case Union():
-            (n1, e1), (n2, e2) = sides
-            if len(e1) < len(e2):
-                e1, e2 = e2, e1
-            for value, mult in e2.items():
-                e1[value] = e1.get(value, 0) + mult
-            return n1 + n2, e1
+            return _union(*sides)
         case Join():
-            (n1, e1), (n2, e2) = sides
-            n = n1 + n2
-            eigs = {0: 1, n: 1}
-            # Each side keeps all but one 0, shifted by the other side's order.
-            for shift, side in ((n2, e1), (n1, e2)):
-                side[0] -= 1
-                for value, mult in side.items():
-                    if mult:
-                        value += shift
-                        eigs[value] = eigs.get(value, 0) + mult
-            return n, eigs
+            return _join(*sides)
         case Repeat(m):
-            # m-fold union scales every multiplicity.
-            ((n, eigs),) = sides
-            for value in eigs:
-                eigs[value] *= m
-            return m * n, eigs
+            return _repeat(m, *sides)
         case Complement():
-            # One 0 stays; the rest reflect to n - value, and a value n becomes another 0.
-            ((n, eigs),) = sides
-            eigs[0] -= 1
-            out = {n - value: mult for value, mult in eigs.items() if mult}
-            out[0] = out.get(0, 0) + 1
-            return n, out
+            return _complement(*sides)
+
+
+def _spectrum(n: int, eigs: dict[int, int]) -> Spectrum:
+    return Spectrum(n, tuple(sorted(eigs.items())))
 
 
 def spectrum_of(expr: GraphExpr) -> Spectrum:
     """Exact Laplacian spectrum of the graph an expression denotes."""
-    n, eigs = fold(expr, _compose)
-    return Spectrum(n, tuple(sorted(eigs.items())))
+    return _spectrum(*fold(expr, _compose))
+
+
+def spectrum_of_text(text: str) -> Spectrum:
+    """``spectrum_of(parse(text))``, composed while parsing: no tree is built.
+
+    Raises the same ``ParseError`` as ``parse`` on malformed text.
+    """
+    return _spectrum(*parse(text, _RULES))
 
 
 def multiplicity_of_zero(s: Spectrum) -> int:

@@ -67,6 +67,12 @@ def expr_strategy(max_leaves: int = 8):
     return st.recursive(atoms, extend, max_leaves=max_leaves)
 
 
+def text_strategy():
+    """Short texts over the expression alphabet, with whitespace, other decimal
+    digits and a stray letter: most are malformed, some parse."""
+    return st.text("K0123456789+*~() \t\u00b2\u0663x", max_size=40)
+
+
 def graph_classes(n: int) -> list[DenseGraph]:
     """One graph per isomorphism class on n <= 7 vertices, from the networkx atlas."""
     import networkx

@@ -7,7 +7,7 @@ import pytest
 import lapspec.families
 from helpers import run_python
 from lapspec.cli import build_parser, main
-from lapspec.expr import parse
+from lapspec.expr import Complement, Complete, Join, Repeat, Union, parse
 from lapspec.realize import graph6_encode, realize
 from lapspec.spectrum import Spectrum
 
@@ -123,6 +123,36 @@ class TestDeepExpressions:
         assert capsys.readouterr().out == spectrum
         assert main(["cospectral", rendered, chain]) == 0
         assert capsys.readouterr().out == "cospectral\n"
+
+
+class TestNoTree:
+    """The commands that print no expression compose its spectrum while parsing."""
+
+    OMEGA1_R2 = "(2K1 + (K1 * 3K1)) * (2K1 + (K1 * 3K1))"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", OMEGA1_R2, "--json"],
+            ["spectrum", OMEGA1_R2],
+            ["spectrum", OMEGA1_R2, "--json"],
+            ["cospectral", OMEGA1_R2, "~(3K2 + 2K1)"],
+            ["cospectral", OMEGA1_R2, OMEGA1_R2, "--json"],
+        ],
+    )
+    def test_builds_no_expression_node(self, argv, monkeypatch, capsys):
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+
+        def refuse(node, *args):
+            raise AssertionError(f"built a {type(node).__name__} node")
+
+        for node_class in (Complete, Union, Join, Repeat, Complement):
+            monkeypatch.setattr(node_class, "__init__", refuse)
+        with pytest.raises(AssertionError, match="built a Complete node"):
+            parse("K1")
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
 
 class TestVerifyFamily:

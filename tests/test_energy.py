@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -161,3 +162,49 @@ class TestEnergyReport:
     def test_rejects_non_laplacian_trace(self):
         with pytest.raises(ValueError):
             energy_report(Spectrum.from_pairs(2, [(0, 1), (Fraction(3, 2), 1)]))
+
+
+class TestCompleteFlag:
+    """``is_complete`` reads the trace; it says what comparing with the complete graph's spectrum says."""
+
+    @staticmethod
+    def check(s):
+        assert energy_report(s).is_complete == is_cospectral(s, spectrum_of_complete(s.n))
+
+    def test_on_seeded_expressions(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            self.check(spectrum_of(helpers.random_expr(rng, 5)))
+        for text in ["K1", "K7", "K1 * K1 * K1", "~(5K1)", "~(2K1 + K1) * K2", "K2 * 2K1", "~K3"]:
+            self.check(spectrum_of(parse(text)))
+
+    def test_on_json_spectra(self):
+        rng = random.Random(37)
+        checked = complete = 0
+        while checked < 300:
+            n = rng.randint(1, 9)
+            # Halves in (0, n], with n itself drawn often, so that some spectra are complete.
+            halves = [rng.choice([2 * n] * 3 + [rng.randint(1, 2 * n)]) for _ in range(n - 1)]
+            s = Spectrum.from_json_obj({"n": n, "eigs": [[0, 1, 1]] + [[h, 2, 1] for h in halves]})
+            trace = s.trace()
+            if trace.denominator != 1 or trace % 2:
+                continue  # not a Laplacian trace: energy_report rejects it
+            self.check(s)
+            checked += 1
+            complete += s == spectrum_of_complete(n)
+        assert 0 < complete < checked
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 11])
+    def test_next_to_the_complete_spectrum(self, n):
+        near = [
+            [[0, 1, 1], [n, 1, n - 1]],
+            [[0, 1, 2], [n, 1, n - 2]],
+            [[0, 1, 1], [n - 1, 1, 2], [n, 1, n - 3]],
+            [[0, 1, 1], [n - 2, 1, 1], [n, 1, n - 2]],
+            [[0, 1, 1], [2 * n - 3, 2, 1], [2 * n - 1, 2, 1], [n, 1, n - 3]],
+        ]
+        for eigs in near:
+            if all(m >= 0 for _, _, m in eigs):
+                s = Spectrum.from_json_obj({"n": n, "eigs": eigs})
+                if s.trace() % 2 == 0:
+                    self.check(s)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 import helpers
 from lapspec.expr import (
+    AST,
+    Builder,
     Complement,
     Complete,
     Join,
@@ -126,6 +127,14 @@ class TestRender:
         assert render(e) == "2(3K1)"
         assert parse(render(e)) == e
 
+    def test_long_chain_renders_in_linear_time(self):
+        # A walk that copied each child's text into its parent's took over a second here.
+        e = functools.reduce(Join, [K1] * 10**5)
+        text = render(e)
+        assert text.startswith("(" * 99_999 + "K1 * K1)")
+        assert text.endswith(" * K1)" * 99_999)
+        assert len(text) == 2 + 7 * 99_999
+
     def test_complement_of_repeat_needs_parentheses(self):
         e = Complement(Repeat(2, K1))
         assert render(e) == "~(2K1)"
@@ -144,7 +153,7 @@ def test_roundtrip_property(e):
     assert parse(render(e)) == e
 
 
-@given(st.text("K0123456789+*~() \t\u00b2\u0663x", max_size=40))
+@given(helpers.text_strategy())
 @example("K" + "7" * 4301)
 def test_any_text_parses_and_reads_back_or_is_a_parse_error(text):
     try:
@@ -153,6 +162,34 @@ def test_any_text_parses_and_reads_back_or_is_a_parse_error(text):
         assert 0 <= exc.pos <= len(text)
     else:
         assert parse(render(e)) == e
+
+
+class TestBuilder:
+    def test_default_builder_makes_the_tree(self):
+        assert AST == Builder(Complete, Union, Join, Repeat, Complement)
+        assert parse(OMEGA1_R2, AST) == parse(OMEGA1_R2)
+
+    def test_constructors_are_called_in_post_order(self):
+        calls = []
+
+        def record(name):
+            def make(*args):
+                calls.append((name, *args))
+                return len(calls)
+
+            return make
+
+        builder = Builder(*map(record, ("complete", "union", "join", "repeat", "complement")))
+        assert parse("K1 + 2~(K2 * K3)", builder) == 7
+        assert calls == [
+            ("complete", 1),
+            ("complete", 2),
+            ("complete", 3),
+            ("join", 2, 3),
+            ("complement", 4),
+            ("repeat", 2, 5),
+            ("union", 1, 6),
+        ]
 
 
 class TestCounts:

@@ -26,7 +26,7 @@ EXPORTS = {
         "graph6_encode", "iter_graph6", "laplacian_matrix", "realize", "symmetric_eigenvalues",
     ],
     "scan": ["CERTIFIED_HIT", "MISS", "NUMERIC_HIT", "ScanRecord", "dedupe_cospectral", "scan", "scan_g6"],
-    "spectrum": ["Spectrum", "multiplicity_of_zero", "spectrum_of", "spectrum_of_complete"],
+    "spectrum": ["Spectrum", "multiplicity_of_zero", "spectrum_of", "spectrum_of_complete", "spectrum_of_text"],
 }
 
 

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import helpers
-from lapspec.expr import Complement, Join, Repeat, Union, edge_count, order, parse, render
-from lapspec.spectrum import Spectrum, multiplicity_of_zero, spectrum_of, spectrum_of_complete
+from lapspec.expr import Complement, Join, ParseError, Repeat, Union, edge_count, order, parse, render
+from lapspec.families import family_specs, source
+from lapspec.spectrum import Spectrum, multiplicity_of_zero, spectrum_of, spectrum_of_complete, spectrum_of_text
 
 
 def spec(n, *pairs):
@@ -163,6 +165,39 @@ class TestSharedNodes:
         for tree in self.trees(x):
             assert spectrum_of(tree) == spectrum_of(tree)
         assert spectrum_of(x) == spectrum_of(parse(render(x)))
+
+
+class TestSpectrumOfText:
+    """Composing while parsing gives what composing the parsed tree gives."""
+
+    @staticmethod
+    def outcome(compute, text):
+        try:
+            return compute(text)
+        except ParseError as exc:
+            return type(exc), str(exc), exc.pos
+
+    @given(helpers.text_strategy())
+    @example("K" + "7" * 4301)
+    @example("2~(K3 * ~2K1) + 3K2")
+    def test_agrees_with_the_tree_on_any_text(self, text):
+        assert self.outcome(spectrum_of_text, text) == self.outcome(lambda t: spectrum_of(parse(t)), text)
+
+    def test_agrees_on_1000_seeded_expressions(self):
+        rng = random.Random(2718)
+        for _ in range(1000):
+            e = helpers.random_expr(rng, 6)
+            assert spectrum_of_text(render(e)) == spectrum_of(e)
+
+    def test_agrees_on_every_family_member(self):
+        for r in range(1, 21):
+            for spec in family_specs(r):
+                text = source(spec)
+                assert spectrum_of_text(text) == spectrum_of(parse(text)), spec
+
+    def test_deep_text(self):
+        text = "~" * 3000 + "(" * 10**4 + " + ".join(["K2"] * 2000) + ")" * 10**4
+        assert spectrum_of_text(text) == spectrum_of(parse(text)) == spectrum_of(parse("2000K2"))
 
 
 class TestZeroMultiplicity:
