@@ -12,22 +12,22 @@ Repetition binds tightest, then ``*``, then ``+``; both binary operators
 associate to the left and parentheses group as usual.  ``3K1 * K1`` is
 therefore the join of three isolated vertices with a single vertex, i.e.
 the star on four vertices.  Chains of operators and of ``~`` may be of any
-length and parentheses may nest to any depth: ``parse`` is one loop, the
-walks below are ``fold``s and ``render`` is one pre-order pass, so nothing
+length and parentheses may nest to any depth: ``parse``, ``fold`` and the
+text writer of ``render`` and ``repr`` keep their own stacks, so nothing
 here recurses, and ``parse(render(e)) == e`` holds for every expression.
 
-``parse`` calls a ``Builder``'s five constructors in parse order, children
-before their parent.  The default, ``AST``, builds the tree; any other
-builder evaluates the text without one (``spectrum.spectrum_of_text``
-passes the spectrum rules that ``spectrum_of`` applies to a tree), under
-the same grammar, errors and offsets.
+A ``Builder``'s five constructors evaluate an expression, children before
+their parent: ``parse(text, builder)`` on a text, ``fold(expr, builder)``
+on a tree, and ``fold(e, b)`` makes the calls ``parse(render(e), b)``
+makes.  The default, ``AST``, builds the tree; any other builder evaluates
+a text without one, under the same grammar, errors and offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
+from itertools import takewhile, zip_longest
+from typing import Any, Callable, Iterator, NamedTuple
 
 __all__ = [
     "GraphExpr",
@@ -79,21 +79,7 @@ class GraphExpr:
         return hash(tuple(_preorder(self)))
 
     def __repr__(self) -> str:
-        # One pre-order pass: a node's pieces go on the stack in order, so its
-        # closing text waits there while its children are written.
-        texts: list[str] = []
-        stack: list[GraphExpr | str] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                texts.append(item)
-                continue
-            pieces: list[GraphExpr | str] = [f"{item.__class__.__qualname__}("]
-            for i, name in enumerate(item.__dataclass_fields__):
-                value = getattr(item, name)
-                pieces += [f"{', ' if i else ''}{name}=", value if isinstance(value, GraphExpr) else repr(value)]
-            stack += reversed([*pieces, ")"])
-        return "".join(texts)
+        return _write(self, _repr_pieces)
 
 
 _CHILD = object()  # stands for a child expression among a node's fields
@@ -160,7 +146,7 @@ class Complement(GraphExpr):
 
 
 class Builder(NamedTuple):
-    """The five constructors ``parse`` calls, with the node classes' arguments.
+    """The five constructors ``parse`` and ``fold`` call, with the node classes' arguments.
 
     ``complete(n)``, ``union(left, right)``, ``join(left, right)``,
     ``repeat(m, inner)`` and ``complement(inner)``, where ``left``, ``right``
@@ -215,8 +201,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _show(token: tuple[str, object, int]) -> str:
-    kind, value, _ = token
+def _show(text: str, token: tuple[str, object, int]) -> str:
+    kind, value, pos = token
+    if kind == "INT":  # the literal as written, not its value
+        value = "".join(takewhile(str.isdecimal, text[pos:]))
     return "end of input" if kind == "END" else repr(str(value))
 
 
@@ -250,10 +238,10 @@ def parse(text: str, builder: Builder = AST) -> Any:
             k += 1
             continue
         if kind != "K":
-            raise ParseError(f"expected 'K', '~', '(' or an integer, found {_show(tokens[k])}", pos)
+            raise ParseError(f"expected 'K', '~', '(' or an integer, found {_show(text, tokens[k])}", pos)
         kind, value, pos = tokens[k + 1]
         if kind != "INT":
-            raise ParseError(f"expected an integer, found {_show(tokens[k + 1])}", pos)
+            raise ParseError(f"expected an integer, found {_show(text, tokens[k + 1])}", pos)
         k += 2
         e = make_complete(value)
         # Fold the operand in, then close every group that ends after it.
@@ -272,10 +260,10 @@ def parse(text: str, builder: Builder = AST) -> Any:
                 break
             if not saved:
                 if kind != "END":
-                    raise ParseError(f"expected end of input, found {_show(tokens[k])}", pos)
+                    raise ParseError(f"expected end of input, found {_show(text, tokens[k])}", pos)
                 return union
             if kind != "RPAREN":
-                raise ParseError(f"expected ')', found {_show(tokens[k])}", pos)
+                raise ParseError(f"expected ')', found {_show(text, tokens[k])}", pos)
             k += 1
             e = union
             union, join, count, tildes = saved.pop()
@@ -284,45 +272,68 @@ def parse(text: str, builder: Builder = AST) -> Any:
 
 # --- evaluation ----------------------------------------------------------------
 
-T = TypeVar("T")
 
+def fold(expr: GraphExpr, builder: Builder) -> Any:
+    """Evaluate ``expr`` bottom-up: the calls ``parse(render(expr), builder)`` makes.
 
-def fold(expr: GraphExpr, combine: Callable[[GraphExpr, Sequence[T]], T]) -> T:
-    """Evaluate ``expr`` bottom-up: ``combine(node, child_values)`` at every node.
-
-    Child values come in order, left before right, and each is passed to
-    ``combine`` once, for its own parent, even where one node object occurs
-    several times in the tree; so ``combine`` may reuse a child's value in
-    place.  ``combine`` only sees the five node classes; any other node
-    raises ``TypeError``.  The walk keeps its own stacks, so Python's
-    recursion limit does not bound its depth.
+    Children come before their parent and left before right.  Each value is
+    passed on once, to its parent's call, even where one node object occurs
+    several times in the tree.  Any node of another class is a ``TypeError``.
+    The walk keeps its own stacks, so no recursion limit bounds its depth.
     """
+    make_complete, make_union, make_join, make_repeat, make_complement = builder
     # Pre-order with the right child first, reversed, is post-order with the left first.
-    nodes: list[tuple[GraphExpr, int]] = []
+    calls: list[tuple[Callable[..., Any], tuple[int, ...], tuple[GraphExpr, ...]]] = []
     stack = [expr]
     while stack:
-        node = stack.pop()
-        match node:
-            case Complete():
-                children: tuple[GraphExpr, ...] = ()
-            case Union(left, right) | Join(left, right):
-                children = (left, right)
-            case Repeat(_, inner) | Complement(inner):
-                children = (inner,)
-            case _:
+        match stack.pop():
+            case Complete(n):
+                call = make_complete, (n,), ()
+            case Union(left, right):
+                call = make_union, (), (left, right)
+            case Join(left, right):
+                call = make_join, (), (left, right)
+            case Repeat(m, inner):
+                call = make_repeat, (m,), (inner,)
+            case Complement(inner):
+                call = make_complement, (), (inner,)
+            case node:
                 raise TypeError(f"not a GraphExpr: {node!r}")
-        nodes.append((node, len(children)))
-        stack.extend(children)
-    values: list[T] = []
-    for node, arity in reversed(nodes):
-        split = len(values) - arity
-        args = values[split:]
-        del values[split:]
-        values.append(combine(node, args))
+        calls.append(call)
+        stack += call[2]
+    values: list[Any] = []
+    for make, fields, children in reversed(calls):
+        split = len(values) - len(children)
+        values[split:] = [make(*fields, *values[split:])]
     return values[0]
 
 
 # --- printing ----------------------------------------------------------------
+
+
+def _write(root: GraphExpr, pieces: Callable[[GraphExpr], tuple[GraphExpr | str, ...]]) -> str:
+    """Text of ``root`` in one pre-order pass; ``pieces(node)`` lists its texts and children.
+
+    A node's closing text waits on the stack while its children are written,
+    so the time is linear in the length of the text.
+    """
+    texts: list[str] = []
+    stack: list[GraphExpr | str] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            texts.append(item)
+        else:
+            stack += reversed(pieces(item))
+    return "".join(texts)
+
+
+def _repr_pieces(node: GraphExpr) -> tuple[GraphExpr | str, ...]:
+    pieces: list[GraphExpr | str] = [f"{node.__class__.__qualname__}("]
+    for i, name in enumerate(node.__dataclass_fields__):
+        value = getattr(node, name)
+        pieces += [f"{', ' if i else ''}{name}=", value if isinstance(value, GraphExpr) else repr(value)]
+    return (*pieces, ")")
 
 
 def _checked(value: object) -> GraphExpr:
@@ -332,69 +343,48 @@ def _checked(value: object) -> GraphExpr:
 
 
 def _atom(inner: GraphExpr) -> tuple[GraphExpr | str, ...]:
-    """Stack items that write ``inner`` as an atom, last item first."""
     # Repeat is the one node whose text is not itself an atom.
-    return (")", inner, "(") if isinstance(inner, Repeat) else (_checked(inner),)
+    return ("(", inner, ")") if isinstance(inner, Repeat) else (_checked(inner),)
+
+
+def _render_pieces(node: GraphExpr) -> tuple[GraphExpr | str, ...]:
+    match node:
+        case Complete(n):
+            return (f"K{n}",)
+        case Union(left, right):
+            return ("(", _checked(left), " + ", _checked(right), ")")
+        case Join(left, right):
+            return ("(", _checked(left), " * ", _checked(right), ")")
+        case Repeat(m, inner):
+            return (f"{m}", *_atom(inner))
+        case Complement(inner):
+            return ("~", *_atom(inner))
+        case _:
+            raise TypeError(f"not a GraphExpr: {node!r}")
 
 
 def render(expr: GraphExpr) -> str:
-    """Canonical, fully parenthesized text; ``parse(render(e)) == e``.
-
-    One pre-order pass, as in ``GraphExpr.__repr__``: a node's closing text
-    waits on the stack while its children are written, so the time is
-    linear in the length of the text.
-    """
-    texts: list[str] = []
-    stack: list[GraphExpr | str] = [_checked(expr)]
-    while stack:
-        item = stack.pop()
-        match item:
-            case str():
-                texts.append(item)
-            case Complete(n):
-                texts.append(f"K{n}")
-            case Union(left, right):
-                stack += (")", _checked(right), " + ", _checked(left), "(")
-            case Join(left, right):
-                stack += (")", _checked(right), " * ", _checked(left), "(")
-            case Repeat(m, inner):
-                texts.append(f"{m}")
-                stack += _atom(inner)
-            case Complement(inner):
-                texts.append("~")
-                stack += _atom(inner)
-            case _:
-                raise TypeError(f"not a GraphExpr: {item!r}")
-    return "".join(texts)
+    """Canonical, fully parenthesized text; ``parse(render(e)) == e``."""
+    return _write(_checked(expr), _render_pieces)
 
 
 # --- structural counts ---------------------------------------------------------
 
-
-def _size(node: GraphExpr, sizes: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """``(vertices, edges)`` of a node from those of its children."""
-    match node:
-        case Complete(n):
-            return n, n * (n - 1) // 2
-        case Union():
-            (n1, m1), (n2, m2) = sizes
-            return n1 + n2, m1 + m2
-        case Join():
-            (n1, m1), (n2, m2) = sizes
-            return n1 + n2, m1 + m2 + n1 * n2
-        case Repeat(k):
-            ((n, m),) = sizes
-            return k * n, k * m
-        case Complement():
-            ((n, m),) = sizes
-            return n, n * (n - 1) // 2 - m
+# ``(vertices, edges)`` of a node from those of its children.
+_SIZE = Builder(
+    complete=lambda n: (n, n * (n - 1) // 2),
+    union=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    join=lambda a, b: (a[0] + b[0], a[1] + b[1] + a[0] * b[0]),
+    repeat=lambda k, a: (k * a[0], k * a[1]),
+    complement=lambda a: (a[0], a[0] * (a[0] - 1) // 2 - a[1]),
+)
 
 
 def order(expr: GraphExpr) -> int:
     """Number of vertices of the denoted graph."""
-    return fold(expr, _size)[0]
+    return fold(expr, _SIZE)[0]
 
 
 def edge_count(expr: GraphExpr) -> int:
     """Number of edges of the denoted graph."""
-    return fold(expr, _size)[1]
+    return fold(expr, _SIZE)[1]

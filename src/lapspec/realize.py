@@ -4,11 +4,12 @@ spectrum certificate, and the graph6 codec.
 These routes are deliberately independent of the spectrum calculus so they
 can cross-check it: numeric eigenvalues of the realized Laplacian come from
 LAPACK, and an integer eigenvalue multiset can be certified exactly from
-the minimal polynomial and power traces of the matrix.  The certificate's
-arithmetic is exact: float64 through BLAS while a bound computed beforehand
-keeps every intermediate value an integer below 2^53, else Python ints.
-A stack of matrices of one order is certified, like it is solved, in one
-call.
+the minimal polynomial and power traces of the matrix.  ``realize`` folds
+an expression with a ``Builder`` of ``DenseGraph`` operations, which shares
+nothing with the spectrum rules.  The certificate's arithmetic is exact:
+float64 through BLAS while a bound computed beforehand keeps every
+intermediate value an integer below 2^53, else Python ints.  A stack of
+matrices of one order is certified, like it is solved, in one call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .expr import Complement, Complete, GraphExpr, Join, Repeat, Union, fold, order
+from .expr import Builder, GraphExpr, fold, order
 
 __all__ = [
     "DenseGraph",
@@ -129,27 +130,17 @@ class DenseGraph:
         return f"DenseGraph(n={self.n}, m={self.edge_count()})"
 
 
+_GRAPHS = Builder(
+    DenseGraph.complete, DenseGraph.union, DenseGraph.join, lambda m, g: g.repeat(m), DenseGraph.complement
+)
+
+
 def realize(expr: GraphExpr, size_cap: int = DEFAULT_SIZE_CAP) -> DenseGraph:
     """Adjacency-matrix realization of an expression."""
     n = order(expr)
     if n > size_cap:
         raise GraphTooLargeError(f"expression order {n} exceeds the size cap {size_cap}")
-    return fold(expr, _realize_node)
-
-
-def _realize_node(node: GraphExpr, graphs: Sequence[DenseGraph]) -> DenseGraph:
-    # Builds matrices, not spectra, so it stays independent of ``spectrum_of``.
-    match node:
-        case Complete(n):
-            return DenseGraph.complete(n)
-        case Union():
-            return graphs[0].union(graphs[1])
-        case Join():
-            return graphs[0].join(graphs[1])
-        case Repeat(m):
-            return graphs[0].repeat(m)
-        case Complement():
-            return graphs[0].complement()
+    return fold(expr, _GRAPHS)
 
 
 def laplacian_matrix(g: DenseGraph) -> np.ndarray:

@@ -11,21 +11,21 @@ Spectra compose structurally, so no matrix is ever diagonalized here:
 Every expression denotes a cograph, and cographs are Laplacian integral:
 the rules act on ``(order, {eigenvalue: multiplicity})`` pairs of Python
 ints, one function per node class, and a single ``Spectrum`` is
-validated at the root.  Both routes call the same five functions:
-``spectrum_of`` applies them in one ``fold`` over a tree, and
-``spectrum_of_text`` passes them to ``parse`` as its builder, so the text
-is composed while it is parsed and no tree is built.  ``Spectrum`` itself
-also holds rational eigenvalues (a closed form or a JSON object may carry
-them); an integral value is always stored as an ``int``.
+validated at the root.  The five functions are one ``expr.Builder``:
+``spectrum_of`` folds a tree with it, and ``spectrum_of_text`` passes it
+to ``parse``, so a text is composed while it is parsed and no tree is
+built.  ``Spectrum`` itself also holds rational eigenvalues (a closed form
+or a JSON object may carry them); an integral value is always an ``int``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .expr import Builder, Complement, Complete, GraphExpr, Join, Repeat, Union, fold, parse
+from .expr import Builder, GraphExpr, fold, parse
 
 __all__ = [
     "Spectrum",
@@ -54,6 +54,10 @@ class Spectrum:
         total = 0
         prev = None
         for value, mult in self.entries:
+            try:
+                mult = operator.index(mult)  # numpy ints pass, floats do not
+            except TypeError:
+                raise ValueError(f"multiplicities must be integers, not {mult!r}") from None
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             if prev is not None and value <= prev:
@@ -74,7 +78,14 @@ class Spectrum:
         Pairs with multiplicity 0 are dropped; equal eigenvalues are merged.
         Values may be any exact rationals; integral ones are stored as ``int``.
         """
-        return cls(n, tuple(sorted(_merge((_exact(value), mult) for value, mult in pairs).items())))
+        merged: dict = {}
+        for value, mult in pairs:
+            value = _exact(value)
+            if mult < 0:
+                raise ValueError("multiplicities cannot be negative")
+            if mult:
+                merged[value] = merged.get(value, 0) + mult
+        return cls(n, tuple(sorted(merged.items())))
 
     def trace(self) -> int | Fraction:
         """Sum of all eigenvalues with multiplicity (equals twice the edge count)."""
@@ -98,7 +109,10 @@ class Spectrum:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Spectrum":
-        return cls.from_pairs(obj["n"], [(Fraction(p, q), m) for p, q, m in obj["eigs"]])
+        try:
+            return cls.from_pairs(obj["n"], [(Fraction(p, q), m) for p, q, m in obj["eigs"]])
+        except (TypeError, ZeroDivisionError) as exc:  # a float or a zero denominator
+            raise ValueError(f"not a spectrum object: {exc}") from None
 
 
 def spectrum_of_complete(n: int) -> Spectrum:
@@ -109,17 +123,6 @@ def spectrum_of_complete(n: int) -> Spectrum:
 def _exact(value: int | Fraction) -> int | Fraction:
     v = value if isinstance(value, int) else Fraction(value)
     return v.numerator if v.denominator == 1 else v
-
-
-def _merge(pairs: Iterable[tuple[int | Fraction, int]]) -> dict:
-    """``{value: multiplicity}``: equal values merged, zero multiplicities dropped."""
-    out: dict = {}
-    for value, mult in pairs:
-        if mult < 0:
-            raise ValueError("multiplicities cannot be negative")
-        if mult:
-            out[value] = out.get(value, 0) + mult
-    return out
 
 
 # The five rules, on ``(order, {eigenvalue: multiplicity})`` pairs of ints.
@@ -174,28 +177,13 @@ def _complement(inner: _Pair) -> _Pair:
 _RULES = Builder(_complete, _union, _join, _repeat, _complement)
 
 
-def _compose(node: GraphExpr, sides: Sequence[_Pair]) -> _Pair:
-    """``fold`` combiner: the rule of ``node``'s class on its children's pairs."""
-    match node:
-        case Complete(n):
-            return _complete(n)
-        case Union():
-            return _union(*sides)
-        case Join():
-            return _join(*sides)
-        case Repeat(m):
-            return _repeat(m, *sides)
-        case Complement():
-            return _complement(*sides)
-
-
 def _spectrum(n: int, eigs: dict[int, int]) -> Spectrum:
     return Spectrum(n, tuple(sorted(eigs.items())))
 
 
 def spectrum_of(expr: GraphExpr) -> Spectrum:
     """Exact Laplacian spectrum of the graph an expression denotes."""
-    return _spectrum(*fold(expr, _compose))
+    return _spectrum(*fold(expr, _RULES))
 
 
 def spectrum_of_text(text: str) -> Spectrum:

@@ -73,6 +73,19 @@ def text_strategy():
     return st.text("K0123456789+*~() \t\u00b2\u0663x", max_size=40)
 
 
+def source_strategy(max_leaves: int = 8):
+    """Texts that parse, whose grouping is left to precedence and associativity
+    where it can be: operands with counts and ``~``s, joined by ``+`` and ``*``."""
+    atoms = st.integers(1, 4).map("K{}".format)
+
+    def extend(texts):
+        operand = st.tuples(st.sampled_from(["", "2", "~", "3~~"]), atoms | texts.map("({})".format)).map("".join)
+        terms = st.lists(st.tuples(st.sampled_from([" + ", " * "]), operand), min_size=1, max_size=4)
+        return st.builds(lambda first, rest: first + "".join(op + term for op, term in rest), operand, terms)
+
+    return st.recursive(atoms, extend, max_leaves=max_leaves)
+
+
 def graph_classes(n: int) -> list[DenseGraph]:
     """One graph per isomorphism class on n <= 7 vertices, from the networkx atlas."""
     import networkx

@@ -47,8 +47,14 @@ class TestEval:
             ("K1\u00b2", "unexpected character '\u00b2' (at offset 2)"),
             ("\u00b2K1", "unexpected character '\u00b2' (at offset 0)"),
             ("K" + "1" * 5000, f"integer literal {'1' * 5000} exceeds 1000000000 (at offset 1)"),
+            ("K1 007", "expected end of input, found '007' (at offset 3)"),
+            ("K1 \u0663", "expected end of input, found '\u0663' (at offset 3)"),
+            ("(K1 007", "expected ')', found '007' (at offset 4)"),
         ],
-        ids=["K-superscript", "K1-superscript", "superscript-K1", "5000-digits"],
+        ids=[
+            "K-superscript", "K1-superscript", "superscript-K1", "5000-digits",
+            "leading-zeros", "arabic-indic-digit", "leading-zeros-in-group",
+        ],
     )
     def test_bad_literals_exit_2(self, text, message, capsys):
         assert main(["eval", text]) == 2

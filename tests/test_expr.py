@@ -97,14 +97,35 @@ class TestParse:
             ("\u00b2K1", ParseError, 0),
             ("K" + "1" * 5000, LiteralOverflowError, 1),
             ("2K1 + " + "9" * 4301 + "K1", LiteralOverflowError, 6),
+            ("K1 007", ParseError, 3),
+            ("K1 \u0663", ParseError, 3),
+            ("(K1 007", ParseError, 4),
         ],
-        ids=["K-superscript", "K1-superscript", "superscript-K1", "5000-digits", "4301-digits"],
+        ids=[
+            "K-superscript", "K1-superscript", "superscript-K1", "5000-digits", "4301-digits",
+            "leading-zeros", "arabic-indic-digit", "leading-zeros-in-group",
+        ],
     )
     def test_bad_literals_are_parse_errors(self, text, error, pos):
         with pytest.raises(ParseError) as excinfo:
             parse(text)
         assert type(excinfo.value) is error
         assert excinfo.value.pos == pos
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("K1 007", "expected end of input, found '007' (at offset 3)"),
+            ("K1 \u0663", "expected end of input, found '\u0663' (at offset 3)"),
+            ("(K1 007", "expected ')', found '007' (at offset 4)"),
+            ("2 03K1", "expected 'K', '~', '(' or an integer, found '03' (at offset 2)"),
+            ("K1 12 + K1", "expected end of input, found '12' (at offset 3)"),
+        ],
+    )
+    def test_a_misplaced_literal_is_quoted_as_written(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == message
 
     def test_literals_in_any_decimal_script_and_with_leading_zeros(self):
         assert parse("K\u0663") == Complete(3)
@@ -164,22 +185,27 @@ def test_any_text_parses_and_reads_back_or_is_a_parse_error(text):
         assert parse(render(e)) == e
 
 
+def recorder() -> tuple[Builder, list[tuple]]:
+    """A builder that logs each call as ``(name, *args)``; the value of the k-th call is k."""
+    calls = []
+
+    def record(name):
+        def make(*args):
+            calls.append((name, *args))
+            return len(calls)
+
+        return make
+
+    return Builder(*map(record, Builder._fields)), calls
+
+
 class TestBuilder:
     def test_default_builder_makes_the_tree(self):
         assert AST == Builder(Complete, Union, Join, Repeat, Complement)
         assert parse(OMEGA1_R2, AST) == parse(OMEGA1_R2)
 
     def test_constructors_are_called_in_post_order(self):
-        calls = []
-
-        def record(name):
-            def make(*args):
-                calls.append((name, *args))
-                return len(calls)
-
-            return make
-
-        builder = Builder(*map(record, ("complete", "union", "join", "repeat", "complement")))
+        builder, calls = recorder()
         assert parse("K1 + 2~(K2 * K3)", builder) == 7
         assert calls == [
             ("complete", 1),
@@ -271,24 +297,38 @@ class TestDeepInputs:
 
 class TestFold:
     def test_post_order_left_to_right(self):
-        seen = []
-
-        def combine(node, values):
-            seen.append((render(node), list(values)))
-            return len(seen)
-
-        assert fold(parse("K1 + ~K2 * 2K3"), combine) == 7
-        assert seen == [
-            ("K1", []),
-            ("K2", []),
-            ("~K2", [2]),
-            ("K3", []),
-            ("2K3", [4]),
-            ("(~K2 * 2K3)", [3, 5]),
-            ("(K1 + (~K2 * 2K3))", [1, 6]),
+        builder, calls = recorder()
+        assert fold(parse("K1 + ~K2 * 2K3"), builder) == 7
+        assert calls == [
+            ("complete", 1),
+            ("complete", 2),
+            ("complement", 2),
+            ("complete", 3),
+            ("repeat", 2, 4),
+            ("join", 3, 5),
+            ("union", 1, 6),
         ]
 
-    @pytest.mark.parametrize("walk", [render, order, edge_count])
+    def test_makes_the_calls_parse_makes_on_1000_seeded_trees(self):
+        rng = random.Random(4099)
+        for _ in range(1000):
+            e = helpers.random_expr(rng, 6)
+            (folding, folded), (parsing, parsed) = recorder(), recorder()
+            assert fold(e, folding) == parse(render(e), parsing)
+            assert folded == parsed
+
+    @given(helpers.source_strategy() | helpers.text_strategy())
+    def test_makes_the_calls_parse_makes_on_any_text(self, text):
+        parsing, parsed = recorder()
+        try:
+            parse(text, parsing)
+        except ParseError:
+            return
+        folding, folded = recorder()
+        fold(parse(text), folding)
+        assert folded == parsed
+
+    @pytest.mark.parametrize("walk", [render, order, edge_count, spectrum_of, realize])
     def test_non_expressions_raise_type_error(self, walk):
         with pytest.raises(TypeError, match="not a GraphExpr"):
             walk(Union(K1, "K1"))

@@ -1,5 +1,7 @@
-"""The names ``lapspec`` exports, its numpy-backed ones loaded on first use."""
+"""The names ``lapspec`` exports, its numpy-backed ones loaded on first use;
+and no module imports a name it never uses."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -8,6 +10,8 @@ import pytest
 
 import lapspec
 from helpers import run_python
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPORTS = {
     "energy": [
@@ -65,7 +69,7 @@ def test_import_loads_no_numpy():
 
 
 def test_readme_quickstart_runs():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"## Library quickstart\n.*?```python\n(.*?)```", readme, re.DOTALL)
     run = run_python(["-c", block])
     assert run.returncode == 0, run.stderr
@@ -73,3 +77,21 @@ def test_readme_quickstart_runs():
     assert lines[:4] == ["((0, 1), (4, 2), (6, 4), (8, 1))", "14", "True", "True 22"]
     eigenvalues = [float(x) for x in " ".join(lines[4:]).strip("[]").split()]
     assert eigenvalues == pytest.approx([0, 4, 4, 5, 5, 7, 7, 8], abs=1e-9)
+
+
+# ``__init__.py`` is left out: its imports are re-exports.
+SOURCES = [path for path in [*ROOT.glob("src/lapspec/*.py"), *ROOT.glob("scripts/*.py")] if path.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES), ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        alias.asname or alias.name.partition(".")[0]: node.lineno
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}

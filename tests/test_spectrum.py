@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 
@@ -46,6 +47,29 @@ class TestSpectrumType:
         s = Spectrum.from_pairs(4, [(Fraction(0), 1), (Fraction(4, 2), 2), (4.0, 1)])
         assert [type(v) for v, _ in s.entries] == [int, int, int]
         assert type(Spectrum.from_pairs(2, [(0, 1), (Fraction(2), 1)]).trace()) is int
+
+    @pytest.mark.parametrize(
+        "eigs, message",
+        [
+            ([[0, 1, 1.5], [2, 1, 1.5]], "multiplicities must be integers, not 1.5"),
+            ([[0, 1, 1], [2, 0, 2]], "not a spectrum object: Fraction(2, 0)"),
+            ([[0, 1, 1], [2.0, 1, 2]], "not a spectrum object: both arguments should be Rational instances"),
+        ],
+        ids=["float-multiplicity", "zero-denominator", "float-numerator"],
+    )
+    def test_json_with_a_non_integer_is_a_value_error(self, eigs, message):
+        with pytest.raises(ValueError) as excinfo:
+            Spectrum.from_json_obj({"n": 3, "eigs": eigs})
+        assert str(excinfo.value) == message
+
+    def test_float_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="multiplicities must be integers, not 1.5"):
+            Spectrum(3, ((0, 1.5), (2, 1.5)))
+
+    def test_numpy_int_multiplicities_accepted(self):
+        s = Spectrum.from_pairs(3, [(0, np.int64(1)), (3, np.int32(2))])
+        assert s == spec(3, (0, 1), (3, 2))
+        assert s.expanded() == [0, 3, 3]
 
     def test_json_roundtrip(self):
         s = spec(4, (0, 1), (Fraction(5, 2), 2), (4, 1))
