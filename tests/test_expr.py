@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import pytest
@@ -131,6 +132,44 @@ class TestParse:
         assert parse("K\u0663") == Complete(3)
         assert parse("K" + "0" * 5000 + "1") == K1
         assert parse(f"K{10**9:020}") == Complete(10**9)
+
+
+def gate_texts() -> list[str]:
+    """About 20 000 seeded texts: rendered trees, the same with one edit, and
+    strings over the alphabet with odd whitespace, other scripts' digits and
+    literals of ten to thirteen digits."""
+    rng = random.Random(20_251)
+    pieces = [
+        *"K123456789+*~()", " ", "\t", "\n", "\x0b", "\x1c", "\u00b2", "\u0663", "x", "0", "00",
+        "1000000000", "1000000001", "0000000000001", "99999999999",
+    ]
+    texts = []
+    for _ in range(6000):
+        texts.append(render(helpers.random_expr(rng, 6)))
+    for _ in range(7000):
+        text = render(helpers.random_expr(rng, 5))
+        at = rng.randrange(len(text) + 1)
+        texts.append(text[:at] + rng.choice(["", *pieces]) + text[at + rng.randint(0, 1) :])
+    for _ in range(7000):
+        texts.append("".join(rng.choices(pieces, k=rng.randint(0, 12))))
+    return texts
+
+
+class TestParseGate:
+    """Pins what ``parse`` makes of each gate text: the tree's ``repr``, or the
+    error's class, message and offset."""
+
+    SHA256 = "b3373e86664d11ffd55a8242c41ad583ea800156fec68b78bb18ddd31aa13dc2"
+
+    def test_outcomes_are_pinned(self):
+        digest = hashlib.sha256()
+        for text in gate_texts():
+            try:
+                outcome = repr(parse(text))
+            except ParseError as exc:
+                outcome = f"{type(exc).__name__} {exc} {exc.pos}"
+            digest.update(f"{text!r} {outcome}\n".encode())
+        assert digest.hexdigest() == self.SHA256
 
 
 class TestRender:
