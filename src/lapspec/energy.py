@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _count
 
 __all__ = [
     "EnergyReport",
@@ -30,12 +30,12 @@ __all__ = [
 def m_energy(entries: Iterable[tuple[int | Fraction, int]], trace: int | Fraction, n: int) -> Fraction:
     """Sum of ``|eigenvalue - trace/n|`` over a multiset of ``n`` eigenvalues.
 
-    ``entries`` is any iterable of ``(value, multiplicity)`` pairs; the caller
-    guarantees that ``trace`` equals the sum of the eigenvalues.
+    ``entries`` is any iterable of ``(value, multiplicity)`` pairs with integer
+    multiplicities; the caller guarantees that ``trace`` is their sum.
     """
     if n == 0:
         raise ValueError("the eigenvalue multiset must not be empty")
-    pairs = [(value, int(mult)) for value, mult in entries]
+    pairs = [(value, _count(mult)) for value, mult in entries]
     total = sum(mult for _, mult in pairs)
     if total != n:
         raise ValueError(f"multiset carries {total} eigenvalues, expected {n}")

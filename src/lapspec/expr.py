@@ -21,12 +21,14 @@ their parent: ``parse(text, builder)`` on a text, ``fold(expr, builder)``
 on a tree, and ``fold(e, b)`` makes the calls ``parse(render(e), b)``
 makes.  The default, ``AST``, builds the tree; any other builder evaluates
 a text without one, under the same grammar, errors and offsets.
+``parse`` lexes in one C call, splitting the text with its operator
+characters spaced out; the exact lexer runs only to report an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile, zip_longest
+from itertools import zip_longest
 from typing import Any, Callable, Iterator, NamedTuple
 
 __all__ = [
@@ -166,82 +168,99 @@ AST = Builder(Complete, Union, Join, Repeat, Complement)
 
 # --- parsing -----------------------------------------------------------------
 
-_KINDS = {"K": "K", "+": "PLUS", "*": "STAR", "~": "TILDE", "(": "LPAREN", ")": "RPAREN"}
+_OPERATORS = frozenset("K+*~()")
+_SPACED = str.maketrans({ch: f" {ch} " for ch in _OPERATORS})  # for ``str.split``
+_SMALL = {str(value): value for value in range(1, 100)}  # the literals texts mostly use
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
+def _literal(part: str) -> int | None:
+    """Value of ``part`` if it is a decimal literal in 1..``MAX_LITERAL``, else None.
+
+    A literal in range has at most ten significant digits: ``int()`` reads
+    only the last ten, and a nonzero digit before them overflows.
+    """
+    value = _SMALL.get(part)
+    if value is None and part.isdecimal() and not any(map(int, part[:-10])):
+        value = int(part[-10:])
+    return value if value and value <= MAX_LITERAL else None
+
+
+def _tokenize(text: str) -> list[tuple[int, str]]:
+    """Each token's offset and text, then ``(len(text), "")``; raises the first lexical fault."""
+    tokens: list[tuple[int, str]] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
+        j = i + 1
         if ch.isdecimal():  # exactly the digits ``int()`` reads
-            j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            # A literal in range has at most ten significant digits: ``int()``
-            # reads only the last ten, and a nonzero digit before them overflows.
             digits = text[i:j]
-            value = int(digits[-10:])
-            if value > MAX_LITERAL or (len(digits) > 10 and any(map(int, digits[:-10]))):
-                raise LiteralOverflowError(f"integer literal {digits} exceeds {MAX_LITERAL}", i)
-            if value < 1:
+            if _literal(digits) is None:
+                if any(map(int, digits)):
+                    raise LiteralOverflowError(f"integer literal {digits} exceeds {MAX_LITERAL}", i)
                 raise ParseError("integer literals must be at least 1", i)
-            tokens.append(("INT", value, i))
-            i = j
-            continue
-        kind = _KINDS.get(ch)
-        if kind is None:
+        elif ch not in _OPERATORS:
             raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append((kind, ch, i))
-        i += 1
-    tokens.append(("END", "", n))
+        tokens.append((i, text[i:j]))
+        i = j
+    tokens.append((n, ""))
     return tokens
 
 
-def _show(text: str, token: tuple[str, object, int]) -> str:
-    kind, value, pos = token
-    if kind == "INT":  # the literal as written, not its value
-        value = "".join(takewhile(str.isdecimal, text[pos:]))
-    return "end of input" if kind == "END" else repr(str(value))
+def _fault(text: str, k: int, expected: str) -> ParseError:
+    """The error for a text whose part ``k`` is not what the grammar ``expected``.
+
+    ``_tokenize`` raises the text's first lexical fault; if it has none, its
+    tokens are the parts, so token ``k`` gives the offset.
+    """
+    pos, written = _tokenize(text)[k]
+    return ParseError(f"expected {expected}, found {repr(written) if written else 'end of input'}", pos)
 
 
 def parse(text: str, builder: Builder = AST) -> Any:
     """Parse expression text under the declared precedence.
 
     Returns the unique AST, or with another ``builder`` what its
-    constructors make of the text.  One loop reads operands
+    constructors make of the text.  Lexing is one C call, and ``_tokenize``
+    runs only to report an error.  One loop reads operands
     ``[INT] '~'* ('K' INT | '(')``.  An open parenthesis saves the
     enclosing partial union, partial join, count and ``~``s on a stack, so
     nesting depth is bounded only by memory.
     """
     make_complete, make_union, make_join, make_repeat, make_complement = builder
-    tokens = _tokenize(text)
+    parts = text.translate(_SPACED).split()
+    parts.append("")  # end of input
     saved: list[tuple[Any, Any, int | None, int]] = []
     union = join = None
     k = 0
     while True:
+        part = parts[k]
         count = None
-        if tokens[k][0] == "INT":
-            count = tokens[k][1]
+        if part not in _OPERATORS and part:  # a count, or a lexical fault
+            count = _literal(part)
+            if count is None:
+                raise _fault(text, k, "'K', '~', '(' or an integer")
             k += 1
+            part = parts[k]
         tildes = 0
-        while tokens[k][0] == "TILDE":
+        while part == "~":
             tildes += 1
             k += 1
-        kind, _, pos = tokens[k]
-        if kind == "LPAREN":
+            part = parts[k]
+        if part == "(":
             saved.append((union, join, count, tildes))
             union = join = None
             k += 1
             continue
-        if kind != "K":
-            raise ParseError(f"expected 'K', '~', '(' or an integer, found {_show(text, tokens[k])}", pos)
-        kind, value, pos = tokens[k + 1]
-        if kind != "INT":
-            raise ParseError(f"expected an integer, found {_show(text, tokens[k + 1])}", pos)
+        if part != "K":
+            raise _fault(text, k, "'K', '~', '(' or an integer")
+        value = _literal(parts[k + 1])
+        if value is None:
+            raise _fault(text, k + 1, "an integer")
         k += 2
         e = make_complete(value)
         # Fold the operand in, then close every group that ends after it.
@@ -251,19 +270,19 @@ def parse(text: str, builder: Builder = AST) -> Any:
             if count is not None:
                 e = make_repeat(count, e)
             join = e if join is None else make_join(join, e)
-            kind, _, pos = tokens[k]
-            if kind == "STAR":
+            part = parts[k]
+            if part == "*":
                 break
             union = join if union is None else make_union(union, join)
             join = None
-            if kind == "PLUS":
+            if part == "+":
                 break
             if not saved:
-                if kind != "END":
-                    raise ParseError(f"expected end of input, found {_show(text, tokens[k])}", pos)
+                if part:
+                    raise _fault(text, k, "end of input")
                 return union
-            if kind != "RPAREN":
-                raise ParseError(f"expected ')', found {_show(text, tokens[k])}", pos)
+            if part != ")":
+                raise _fault(text, k, "')'")
             k += 1
             e = union
             union, join, count, tildes = saved.pop()

@@ -54,10 +54,7 @@ class Spectrum:
         total = 0
         prev = None
         for value, mult in self.entries:
-            try:
-                mult = operator.index(mult)  # numpy ints pass, floats do not
-            except TypeError:
-                raise ValueError(f"multiplicities must be integers, not {mult!r}") from None
+            mult = _count(mult)
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             if prev is not None and value <= prev:
@@ -80,7 +77,7 @@ class Spectrum:
         """
         merged: dict = {}
         for value, mult in pairs:
-            value = _exact(value)
+            value, mult = _exact(value), _count(mult)
             if mult < 0:
                 raise ValueError("multiplicities cannot be negative")
             if mult:
@@ -118,6 +115,14 @@ class Spectrum:
 def spectrum_of_complete(n: int) -> Spectrum:
     """Spectrum of the complete graph: one 0 and ``n`` with multiplicity n-1."""
     return Spectrum.from_pairs(n, [(0, 1), (n, n - 1)])
+
+
+def _count(mult: int) -> int:
+    """A multiplicity as a Python ``int``: numpy ints pass, floats do not."""
+    try:
+        return operator.index(mult)
+    except TypeError:
+        raise ValueError(f"multiplicities must be integers, not {mult!r}") from None
 
 
 def _exact(value: int | Fraction) -> int | Fraction:

@@ -144,10 +144,13 @@ class TestNoTree:
             ["spectrum", OMEGA1_R2, "--json"],
             ["cospectral", OMEGA1_R2, "~(3K2 + 2K1)"],
             ["cospectral", OMEGA1_R2, OMEGA1_R2, "--json"],
+            ["verify-family", "--id", "all", "--r-max", "3"],
+            ["verify-family", "--id", "all", "--r-max", "3", "--json"],
         ],
     )
     def test_builds_no_expression_node(self, argv, monkeypatch, capsys):
-        assert main(argv) == 0
+        code = 1 if argv[0] == "verify-family" else 0  # G24 and G34 miss the energy target at r = 2, 3
+        assert main(argv) == code
         expected = capsys.readouterr()
 
         def refuse(node, *args):
@@ -157,7 +160,7 @@ class TestNoTree:
             monkeypatch.setattr(node_class, "__init__", refuse)
         with pytest.raises(AssertionError, match="built a Complete node"):
             parse("K1")
-        assert main(argv) == 0
+        assert main(argv) == code
         assert capsys.readouterr() == expected
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +40,13 @@ class TestMEnergy:
     def test_rejects_multiset_size_mismatch(self):
         with pytest.raises(ValueError):
             m_energy([(0, 1)], 0, 2)
+
+    def test_rejects_a_float_multiplicity(self):
+        with pytest.raises(ValueError, match="multiplicities must be integers, not 1.9"):
+            m_energy([(0, 1.9), (2, 1.1)], 2, 2)
+
+    def test_numpy_int_multiplicities_pass(self):
+        assert m_energy([(0, np.int64(1)), (2, np.int32(2))], 4, 3) == m_energy([(0, 1), (2, 2)], 4, 3)
 
     @given(
         st.lists(

@@ -1,9 +1,11 @@
 import functools
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 import helpers
 from lapspec.expr import (
@@ -16,14 +18,17 @@ from lapspec.expr import (
     ParseError,
     Repeat,
     Union,
+    _SPACED,
+    _tokenize,
     edge_count,
     fold,
     order,
     parse,
     render,
 )
+from lapspec.families import family_specs, source
 from lapspec.realize import realize
-from lapspec.spectrum import spectrum_of
+from lapspec.spectrum import spectrum_of, spectrum_of_text
 
 K1 = Complete(1)
 OMEGA1_R2 = "(2K1 + (K1 * 3K1)) * (2K1 + (K1 * 3K1))"
@@ -170,6 +175,45 @@ class TestParseGate:
                 outcome = f"{type(exc).__name__} {exc} {exc.pos}"
             digest.update(f"{text!r} {outcome}\n".encode())
         assert digest.hexdigest() == self.SHA256
+
+    @given(st.text("K0123456789+*~() \t\n\x0b\x1c\x85\u00b2\u0663x", max_size=40) | helpers.source_strategy())
+    @example("1 2")
+    @example("K1\x1c2 \u0663\x0b007")
+    def test_split_parts_are_the_tokens_as_written(self, text):
+        """Where ``_tokenize`` accepts a text, ``parse``'s one-call lexer yields
+        the same tokens: what the error path relies on."""
+        try:
+            tokens = _tokenize(text)
+        except ParseError:
+            return
+        assert text.translate(_SPACED).split() == [written for _, written in tokens[:-1]]
+
+    def test_well_formed_texts_are_lexed_once(self, monkeypatch):
+        rng = random.Random(5)
+        texts = [source(spec) for r in range(1, 21) for spec in family_specs(r)]
+        texts += [render(helpers.random_expr(rng, 6)) for _ in range(300)]
+        expected = [(parse(text), spectrum_of_text(text)) for text in texts]
+
+        def refuse(text):
+            raise AssertionError(f"lexed {text!r} again")
+
+        monkeypatch.setattr("lapspec.expr._tokenize", refuse)
+        with pytest.raises(AssertionError, match="lexed 'K1 K1' again"):
+            parse("K1 K1")
+        assert [(parse(text), spectrum_of_text(text)) for text in texts] == expected
+
+    def test_no_call_is_made_twice(self):
+        """Each call reads an operator of its own before the fault (or the end)."""
+        for text in gate_texts():
+            builder, calls = recorder()
+            try:
+                parse(text, builder)
+                end = len(text)
+            except ParseError as exc:
+                end = exc.pos
+            made = Counter(name for name, *_ in calls)
+            for name, operator in [("complete", "K"), ("union", "+"), ("join", "*"), ("complement", "~")]:
+                assert made[name] <= text[:end].count(operator), text
 
 
 class TestRender:

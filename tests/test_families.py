@@ -116,6 +116,10 @@ class TestVerify:
         assert verdict.le == 22
         assert order(verdict.expr) == 12
 
+    def test_expr_is_the_built_tree(self):
+        for member in family_specs(2):
+            assert verify(member).expr == build(member)
+
     @pytest.mark.parametrize("member", list(all_specs_upto(8)), ids=str)
     def test_structure_checks_hold_everywhere(self, member):
         verdict = verify(member)

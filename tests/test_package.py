@@ -80,7 +80,11 @@ def test_readme_quickstart_runs():
 
 
 # ``__init__.py`` is left out: its imports are re-exports.
-SOURCES = [path for path in [*ROOT.glob("src/lapspec/*.py"), *ROOT.glob("scripts/*.py")] if path.name != "__init__.py"]
+SOURCES = [
+    path
+    for path in [*ROOT.glob("src/lapspec/*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+    if path.name != "__init__.py"
+]
 
 
 @pytest.mark.parametrize("path", sorted(SOURCES), ids=lambda path: f"{path.parent.name}/{path.name}")

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -70,6 +71,8 @@ class TestSpectrumType:
         s = Spectrum.from_pairs(3, [(0, np.int64(1)), (3, np.int32(2))])
         assert s == spec(3, (0, 1), (3, 2))
         assert s.expanded() == [0, 3, 3]
+        assert [type(mult) for _, mult in s.entries] == [int, int]
+        assert Spectrum.from_json_obj(json.loads(json.dumps(s.to_json_obj()))) == s
 
     def test_json_roundtrip(self):
         s = spec(4, (0, 1), (Fraction(5, 2), 2), (4, 1))
