@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,22 @@ class TestCrossConstruction:
         a = spectrum_of(build(FamilySpec("Omega3", r)))
         b = spectrum_of(build(FamilySpec("Gir", r, 0)))
         assert is_cospectral(a, b)
+
+
+class TestFamilyGate:
+    """Pins every member's text and closed form for r <= 40: the texts are the
+    benchmark's input and the closed forms are what ``verify`` checks against."""
+
+    SHA256 = "1d0da5d3687780075ea95bdad865a77721061354c2478bb94aa3fb8ef67f19db"
+
+    def test_texts_and_closed_forms_are_pinned(self):
+        digest = hashlib.sha256()
+        members = list(all_specs_upto(40))
+        for member in members:
+            entries = closed_form_spectrum(member).entries
+            digest.update(f"{member.id} {member.r} {member.i} {source(member)} {entries!r}\n".encode())
+        assert len(members) == 2040
+        assert digest.hexdigest() == self.SHA256
 
 
 def test_family_specs_counts():
