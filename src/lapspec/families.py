@@ -27,12 +27,13 @@ where the four building blocks on ``2r + 2`` vertices are
     block 3: r disjoint edges plus two isolated vertices,
     block 4: a star.
 
-``Gir`` at ``i = 0`` coincides with ``Omega3``; both builders are kept and
-a regression test pins their cospectrality.
+``Gir`` at ``i = 0`` coincides with ``Omega3``; both rows stay and a
+regression test pins their cospectrality.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,18 +57,49 @@ __all__ = [
     "pairwise_noncospectral",
 ]
 
-FAMILY_IDS = (
-    "Omega1",
-    "Omega2",
-    "Omega3",
-    "Omega4",
-    "G12",
-    "G13",
-    "G23",
-    "G24",
-    "G34",
-    "Gir",
+# Texts of blocks 1-4 at r.
+_BLOCKS = (
+    lambda r: f"({r}K1 + (K1 * {r + 1}K1))",
+    lambda r: f"{r + 1}K2",
+    lambda r: f"({r}K2 + 2K1)",
+    lambda r: f"({2 * r + 1}K1 * K1)",
 )
+
+
+def _fixed(r: int) -> tuple[None]:
+    return (None,)
+
+
+# The one place a family is defined.  Each row is (the indices i of its members
+# at r, its text at (r, i), its closed-form (eigenvalue, multiplicity) pairs at
+# (r, i) with n = 4r + 4).  The closed forms are written by hand, not derived
+# from the texts: they are what ``verify`` checks the calculus against.
+_FAMILIES = {
+    "Omega1": (_fixed, lambda r, i: f"{_BLOCKS[0](r)} * {_BLOCKS[0](r)}",
+               lambda r, i, n: [(0, 1), (2 * r + 2, 2 * r), (2 * r + 3, 2 * r), (3 * r + 4, 2), (n, 1)]),
+    "Omega2": (_fixed, lambda r, i: f"{_BLOCKS[1](r)} * {_BLOCKS[1](r)}",
+               lambda r, i, n: [(0, 1), (2 * r + 2, 2 * r), (2 * r + 4, 2 * r + 2), (n, 1)]),
+    "Omega3": (_fixed, lambda r, i: f"(K2 + {2 * r + 1}K1) * {2 * r + 1}K1",
+               lambda r, i, n: [(0, 1), (2 * r + 1, 2 * r + 1), (2 * r + 3, 2 * r + 1), (n, 1)]),
+    "Omega4": (_fixed, lambda r, i: f"({2 * r + 1}K1 * {2 * r + 2}K1) * K1",
+               lambda r, i, n: [(0, 1), (2 * r + 2, 2 * r + 1), (2 * r + 3, 2 * r), (n, 2)]),
+    "G12": (_fixed, lambda r, i: f"{_BLOCKS[0](r)} * {_BLOCKS[1](r)}",
+            lambda r, i, n: [(0, 1), (2 * r + 2, 2 * r), (2 * r + 3, r), (2 * r + 4, r + 1), (3 * r + 4, 1), (n, 1)]),
+    "G13": (_fixed, lambda r, i: f"{_BLOCKS[0](r)} * {_BLOCKS[2](r)}",
+            lambda r, i, n: [(0, 1), (2 * r + 2, 2 * r + 1), (2 * r + 3, r), (2 * r + 4, r), (3 * r + 4, 1), (n, 1)]),
+    "G23": (_fixed, lambda r, i: f"{_BLOCKS[1](r)} * {_BLOCKS[2](r)}",
+            lambda r, i, n: [(0, 1), (2 * r + 2, 2 * r + 1), (2 * r + 4, 2 * r + 1), (n, 1)]),
+    "G24": (_fixed, lambda r, i: f"{_BLOCKS[1](r)} * {_BLOCKS[3](r)}",
+            lambda r, i, n: [(0, 1), (2 * r + 2, r), (2 * r + 3, 2 * r), (2 * r + 4, r + 1), (n, 2)]),
+    "G34": (_fixed, lambda r, i: f"{_BLOCKS[2](r)} * {_BLOCKS[3](r)}",
+            lambda r, i, n: [(0, 1), (2 * r + 2, r + 1), (2 * r + 3, 2 * r), (2 * r + 4, r), (n, 2)]),
+    "Gir": (lambda r: range(2 * r + 1), lambda r, i: f"{2 * r + 1}K1 * ({2 * r + 1 - i}K1 + (K1 * {i + 1}K1))",
+            lambda r, i, n: [(0, 1), (2 * r + 1, 2 * r + 1 - i), (2 * r + 2, i), (2 * r + 3, 2 * r),
+                             (2 * r + 3 + i, 1), (n, 1)]),
+}
+
+FAMILY_IDS = tuple(_FAMILIES)
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -80,80 +112,46 @@ class FamilySpec:
     def __post_init__(self):
         if self.id not in FAMILY_IDS:
             raise ValueError(f"unknown family id {self.id!r}")
+        for name in ("r", "i") if self.i is not None else ("r",):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"the family parameter {name} must be an integer, not {value!r}") from None
         if self.r < 1:
             raise ValueError("the family parameter r must be at least 1")
-        if self.id == "Gir":
+        indices = _FAMILIES[self.id][0](self.r)
+        if self.i not in indices:
             if self.i is None:
-                raise ValueError("family Gir requires the index i")
-            if not 0 <= self.i <= 2 * self.r:
-                raise ValueError(f"index i={self.i} outside [0, {2 * self.r}]")
-        elif self.i is not None:
-            raise ValueError(f"family {self.id} takes no index i")
-
-
-def _block1_source(r: int) -> str:
-    return f"({r}K1 + (K1 * {r + 1}K1))"
-
-
-def _block2_source(r: int) -> str:
-    return f"{r + 1}K2"
-
-
-def _block3_source(r: int) -> str:
-    return f"({r}K2 + 2K1)"
-
-
-def _block4_source(r: int) -> str:
-    return f"({2 * r + 1}K1 * K1)"
+                raise ValueError(f"family {self.id} requires the index i")
+            if None in indices:
+                raise ValueError(f"family {self.id} takes no index i")
+            raise ValueError(f"index i={self.i} outside [0, {indices[-1]}]")
 
 
 def block1(r: int) -> GraphExpr:
     """r isolated vertices plus a star on r+2 vertices."""
-    return parse(_block1_source(r))
+    return parse(_BLOCKS[0](r))
 
 
 def block2(r: int) -> GraphExpr:
     """Perfect matching on 2r+2 vertices."""
-    return parse(_block2_source(r))
+    return parse(_BLOCKS[1](r))
 
 
 def block3(r: int) -> GraphExpr:
     """r disjoint edges plus two isolated vertices."""
-    return parse(_block3_source(r))
+    return parse(_BLOCKS[2](r))
 
 
 def block4(r: int) -> GraphExpr:
     """Star on 2r+2 vertices."""
-    return parse(_block4_source(r))
+    return parse(_BLOCKS[3](r))
 
 
 def source(spec: FamilySpec) -> str:
     """Expression text for the family member, in the surface syntax."""
-    r, i = spec.r, spec.i
-    match spec.id:
-        case "Omega1":
-            h = _block1_source(r)
-            return f"{h} * {h}"
-        case "Omega2":
-            h = _block2_source(r)
-            return f"{h} * {h}"
-        case "Omega3":
-            return f"(K2 + {2 * r + 1}K1) * {2 * r + 1}K1"
-        case "Omega4":
-            return f"({2 * r + 1}K1 * {2 * r + 2}K1) * K1"
-        case "G12":
-            return f"{_block1_source(r)} * {_block2_source(r)}"
-        case "G13":
-            return f"{_block1_source(r)} * {_block3_source(r)}"
-        case "G23":
-            return f"{_block2_source(r)} * {_block3_source(r)}"
-        case "G24":
-            return f"{_block2_source(r)} * {_block4_source(r)}"
-        case "G34":
-            return f"{_block3_source(r)} * {_block4_source(r)}"
-        case "Gir":
-            return f"{2 * r + 1}K1 * ({2 * r + 1 - i}K1 + (K1 * {i + 1}K1))"
-    raise AssertionError
+    return _FAMILIES[spec.id][1](spec.r, spec.i)
 
 
 def build(spec: FamilySpec) -> GraphExpr:
@@ -167,32 +165,8 @@ def closed_form_spectrum(spec: FamilySpec) -> Spectrum:
     Zero-multiplicity entries and coinciding eigenvalues (both arise for Gir
     at the ends of the i range) are normalized away by the constructor.
     """
-    r, i = spec.r, spec.i
-    n = 4 * r + 4
-    match spec.id:
-        case "Omega1":
-            pairs = [(0, 1), (2 * r + 2, 2 * r), (2 * r + 3, 2 * r), (3 * r + 4, 2), (n, 1)]
-        case "Omega2":
-            pairs = [(0, 1), (2 * r + 2, 2 * r), (2 * r + 4, 2 * r + 2), (n, 1)]
-        case "Omega3":
-            pairs = [(0, 1), (2 * r + 1, 2 * r + 1), (2 * r + 3, 2 * r + 1), (n, 1)]
-        case "Omega4":
-            pairs = [(0, 1), (2 * r + 2, 2 * r + 1), (2 * r + 3, 2 * r), (n, 2)]
-        case "G12":
-            pairs = [(0, 1), (2 * r + 2, 2 * r), (2 * r + 3, r), (2 * r + 4, r + 1), (3 * r + 4, 1), (n, 1)]
-        case "G13":
-            pairs = [(0, 1), (2 * r + 2, 2 * r + 1), (2 * r + 3, r), (2 * r + 4, r), (3 * r + 4, 1), (n, 1)]
-        case "G23":
-            pairs = [(0, 1), (2 * r + 2, 2 * r + 1), (2 * r + 4, 2 * r + 1), (n, 1)]
-        case "G24":
-            pairs = [(0, 1), (2 * r + 2, r), (2 * r + 3, 2 * r), (2 * r + 4, r + 1), (n, 2)]
-        case "G34":
-            pairs = [(0, 1), (2 * r + 2, r + 1), (2 * r + 3, 2 * r), (2 * r + 4, r), (n, 2)]
-        case "Gir":
-            pairs = [(0, 1), (2 * r + 1, 2 * r + 1 - i), (2 * r + 2, i), (2 * r + 3, 2 * r), (2 * r + 3 + i, 1), (n, 1)]
-        case _:
-            raise AssertionError
-    return Spectrum.from_pairs(n, pairs)
+    n = 4 * spec.r + 4
+    return Spectrum.from_pairs(n, _FAMILIES[spec.id][2](spec.r, spec.i, n))
 
 
 @dataclass(frozen=True)
@@ -251,10 +225,8 @@ def family_specs(r: int, ids: tuple[str, ...] = FAMILY_IDS) -> list[FamilySpec]:
     """All members at parameter r for the requested ids (all 2r+1 of them for Gir)."""
     specs: list[FamilySpec] = []
     for fid in ids:
-        if fid == "Gir":
-            specs.extend(FamilySpec("Gir", r, i) for i in range(2 * r + 1))
-        else:
-            specs.append(FamilySpec(fid, r))
+        indices = _FAMILIES[fid][0](r) if fid in FAMILY_IDS else (None,)  # FamilySpec rejects an unknown id
+        specs.extend(FamilySpec(fid, r, i) for i in indices)
     return specs
 
 

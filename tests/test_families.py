@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lapspec.energy import is_cospectral, laplacian_energy
@@ -54,6 +55,24 @@ class TestFamilySpec:
     def test_fixed_families_take_no_index(self):
         with pytest.raises(ValueError):
             FamilySpec("Omega2", 1, 0)
+
+    def test_float_r_is_rejected(self):
+        with pytest.raises(ValueError, match="parameter r must be an integer, not 2.0"):
+            FamilySpec("Omega1", 2.0)
+
+    def test_float_i_is_rejected(self):
+        with pytest.raises(ValueError, match="parameter i must be an integer, not 1.0"):
+            FamilySpec("Gir", 2, 1.0)
+
+    def test_bool_r_is_stored_as_int(self):
+        member = FamilySpec("Omega1", True)
+        assert type(member.r) is int
+        assert source(member) == source(FamilySpec("Omega1", 1))
+
+    def test_numpy_ints_are_stored_as_python_ints(self):
+        member = FamilySpec("Gir", np.int64(2), np.int32(1))
+        assert (type(member.r), type(member.i)) == (int, int)
+        assert member == FamilySpec("Gir", 2, 1)
 
 
 class TestSources:

@@ -1,5 +1,5 @@
 """The names ``lapspec`` exports, its numpy-backed ones loaded on first use;
-and no module imports a name it never uses."""
+no module imports a name it never uses, and no private name goes unread."""
 
 import ast
 import importlib
@@ -99,3 +99,31 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_every_private_name_is_read():
+    """A module-level ``_name`` in ``src/lapspec`` is read somewhere there: as a
+    loaded name, an attribute or an imported name."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("src/lapspec/*.py")}
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                continue
+            defined.update((name, module) for name in names if name.startswith("_") and not name.startswith("__"))
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    assert {name: module for name, module in defined.items() if name not in read} == {}
